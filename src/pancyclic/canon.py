@@ -31,7 +31,7 @@ class CanonicalCode:
         return self.bits.hex()
 
 
-def _refine(adj: tuple[int, ...], degs: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
     # Equitable refinement to a fixpoint: repeatedly split every cell by the
     # count of neighbours in every cell. Deterministic: splitter order is the
     # current cell order, subcells sorted by count descending.
@@ -126,7 +126,7 @@ class _Canonizer:
             self.gens.append(gamma)
 
     def _node(self, cells: list[list[int]], fixed: list[int]) -> None:
-        cells = _refine(self.adj, self.degs, cells)
+        cells = _refine(self.adj, cells)
         target = -1
         target_deg = -1
         for i, cell in enumerate(cells):

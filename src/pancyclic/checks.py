@@ -9,9 +9,9 @@ both endpoints reachable. A cycle of length L through edge ab is exactly a
 simple (a, b)-path of length L - 1 in the graph without ab.
 
 Absence of a length is certified by exhausting the pruned search tree. An
-optional node budget turns long probes into an explicit "unknown" verdict
-(never a silent false negative); reports carry the verdict, evidence, and
-search statistics.
+optional node budget, one total shared by every probe of a check, turns
+long probes into an explicit "unknown" verdict (never a silent false
+negative); reports carry the verdict, evidence, and search statistics.
 """
 
 from __future__ import annotations
@@ -291,7 +291,6 @@ def is_edge_pancyclic(
         raise GraphError("edge-pancyclicity needs at least 3 vertices")
     t0 = time.monotonic()
     shared = _Budget(budget)
-    nodes0 = shared.left
     witness_map: dict[str, dict[int, list[int]]] = {}
     probes = 0
     for e in g.edges():

@@ -331,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("predicate", choices=_CHECK_PREDICATES)
     p.add_argument("--budget", type=int, default=None,
-                   help="DFS node cap per (edge, length) probe; default unlimited")
+                   help="total DFS node cap per checked graph, shared by all of "
+                        "its (edge, length) probes; default unlimited")
     p.add_argument("--witnesses", action="store_true",
                    help="edge-pancyclic only: include one cycle per (edge, length)")
     p.add_argument("--kappa", type=int, default=1,

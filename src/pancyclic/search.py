@@ -26,9 +26,12 @@ them.
 
 Searches ascend size from the theoretical floor for their predicate and
 report per-size class counts, witnesses in canonical graph6 form, and an
-``exhaustive`` flag. Worker processes split the tree at a fixed size
-frontier; merged results are sorted by canonical code, so the outcome is
-identical for any worker count.
+``exhaustive`` flag. With several workers the tree is expanded
+breadth-first from the root until a fixed number of nodes per worker wait
+in the queue, and each waiting node's subtree is one worker task (see
+:func:`_survey_covered`). Each class lives in exactly one subtree, so the
+per-task results sum exactly; merged results are sorted by canonical code,
+so the outcome is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -54,7 +58,7 @@ from .graphs import (
 
 WORKERS_ENV = "PANCYCLIC_WORKERS"
 _BUILTIN_MAX_ORDER = 12
-_SPLIT_SIZE = 6  # tree nodes crossing this edge count become worker tasks
+_TASKS_PER_WORKER = 16  # split frontier: queued tree nodes per worker process
 
 # Outcomes stopped early by a class budget carry exactly this note; the CLI
 # maps it to its own exit code.
@@ -131,7 +135,12 @@ def resolve_workers(workers: int | None = None) -> int:
     if workers is None:
         env = os.environ.get(WORKERS_ENV)
         if env:
-            workers = int(env)
+            try:
+                workers = int(env)
+            except ValueError:
+                raise GraphError(
+                    f"{WORKERS_ENV} must be a positive integer, got {env!r}"
+                ) from None
         else:
             workers = os.cpu_count() or 1
     if workers < 1:
@@ -406,14 +415,16 @@ def _walk_covered(
     size_lo: int,
     class_budget: int | None,
     collect: Callable[[list[int], int, int], bool],
-    stop_size: int | None = None,
-) -> list[tuple[list[int], int, int]]:
-    # Depth-first walk; when stop_size is set, nodes crossing it are returned
-    # as subtree roots instead of being expanded (parallel split points).
-    pending: list[tuple[list[int], int, int]] = []
-    stack: list[tuple[list[int], int, int, int]] = [(rows, act, m, code)]
-    while stack:
-        rows, act, m, code = stack.pop()
+    frontier: int | None = None,
+) -> list[tuple[list[int], int, int, int]]:
+    # Depth-first walk. With ``frontier`` set, the walk is breadth-first
+    # instead and stops once that many nodes wait in its queue; the waiting
+    # nodes, each with its canonical code, are returned as subtree roots
+    # (parallel split points). A tree that ends first returns none.
+    queue: deque[tuple[list[int], int, int, int]] = deque([(rows, act, m, code)])
+    pop = queue.pop if frontier is None else queue.popleft
+    while queue and (frontier is None or len(queue) < frontier):
+        rows, act, m, code = pop()
         survey.classes_seen += 1
         if class_budget is not None and survey.classes_seen > class_budget:
             raise SearchBudgetExceeded
@@ -421,11 +432,18 @@ def _walk_covered(
             survey.exact_order_by_size[m] = survey.exact_order_by_size.get(m, 0) + 1
             if collect(rows, act, m):
                 survey.survivors.append((act, tuple(rows)))
+        # Different triangles that add the same missing edges give the same
+        # child; drop the repeats before canonizing them.
+        seen_rows: set[tuple[int, tuple[int, ...]]] = set()
         seen_children: set[tuple[int, int]] = set()
         for child, new_act, new_m, added in _covered_children(
             rows, act, m, n, m_hi, min_deg_final
         ):
-            ccode, perm = _canonize(Graph(new_act, tuple(child)))
+            key = (new_act, tuple(child))
+            if key in seen_rows:
+                continue
+            seen_rows.add(key)
+            ccode, perm = _canonize(Graph(new_act, key[1]))
             if (new_act, ccode) in seen_children:
                 continue
             seen_children.add((new_act, ccode))
@@ -447,11 +465,8 @@ def _walk_covered(
                     and _canonize(Graph(back_act, back_rows))[0] == code
                 )
             if accept:
-                if stop_size is not None and new_m >= stop_size:
-                    pending.append((child, new_act, new_m))
-                else:
-                    stack.append((child, new_act, new_m, ccode))
-    return pending
+                queue.append((child, new_act, new_m, ccode))
+    return list(queue)
 
 
 def enumerate_covered_graphs(
@@ -508,11 +523,10 @@ class _KeepSpec:
 
 
 def _subtree_survey(
-    task: tuple[list[int], int, int, int, int, int, int, _KeepSpec]
+    task: tuple[list[int], int, int, int, int, int, int, int, _KeepSpec]
 ) -> tuple[int, dict[int, int], list[tuple[int, tuple[int, ...]]]]:
-    rows, act, m, n, m_hi, min_deg_final, size_lo, keep = task
+    rows, act, m, code, n, m_hi, min_deg_final, size_lo, keep = task
     survey = _CoveredSurvey()
-    code, _ = _canonize(Graph(act, tuple(rows)))
     _walk_covered(
         list(rows), act, m, code, n, m_hi, min_deg_final, survey, size_lo,
         None, keep.collector(),
@@ -534,27 +548,33 @@ def _survey_covered(
 
     Returns the survey and a completeness flag (False iff ``class_budget``
     stopped the walk early). Budgeted walks run sequentially so the budget is
-    a single global counter; unbudgeted walks split across worker processes
-    at the ``_SPLIT_SIZE`` frontier, and because each isomorphism class lives
-    in exactly one subtree, merging is plain summation with no dedup.
+    a single global counter. Unbudgeted walks with several workers expand the
+    tree breadth-first from the root until ``_TASKS_PER_WORKER`` nodes per
+    worker wait in the queue; each waiting node is the root of one worker
+    task. Subtree sizes are very uneven, so many tasks per worker, shallow
+    ones (as a rule the largest) first, keep every worker busy to the end. A
+    tree that ends before its queue fills has no tasks and is walked here.
+    Any frontier merges exactly: the nodes walked before it and the subtrees
+    below it partition the tree, and each isomorphism class lives in exactly
+    one tree node, so merging is plain summation with no dedup.
     """
     survey = _CoveredSurvey()
     if n < 3 or m_hi < 3:
         return survey, True
     nworkers = resolve_workers(workers)
-    split = nworkers > 1 and class_budget is None and m_hi > _SPLIT_SIZE + 2
+    split = nworkers > 1 and class_budget is None
     try:
         pending = _walk_covered(
             [], 0, 0, 0, n, m_hi, min_deg_final, survey, size_lo,
             class_budget, keep.collector(),
-            stop_size=_SPLIT_SIZE if split else None,
+            frontier=_TASKS_PER_WORKER * nworkers if split else None,
         )
     except SearchBudgetExceeded:
         return survey, False
     if pending:
         tasks = [
-            (rows, act, m, n, m_hi, min_deg_final, size_lo, keep)
-            for rows, act, m in pending
+            (rows, act, m, code, n, m_hi, min_deg_final, size_lo, keep)
+            for rows, act, m, code in pending
         ]
         with multiprocessing.Pool(nworkers) as pool:
             parts = pool.map(_subtree_survey, tasks)

@@ -318,26 +318,26 @@ def test_envelope_metadata(monkeypatch, capsys):
     assert row["inputs"]["graph6"] == "C~"
 
 
-def test_console_script_runs():
+def run_child(argv, stdin=None, **extra_env):
     # The child must import the package under test: put the directory that
     # holds it first on PYTHONPATH, ahead of any installed copy.
-    env = dict(os.environ)
+    env = dict(os.environ, **extra_env)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(pancyclic.__file__).parents[1]), env.get("PYTHONPATH")])
     )
+    return subprocess.run(argv, input=stdin, capture_output=True, text=True, env=env)
 
-    def run(argv, stdin=None):
-        return subprocess.run(argv, input=stdin, capture_output=True, text=True, env=env)
 
-    version = run([sys.executable, "-m", "pancyclic.cli", "--version"])
+def test_console_script_runs():
+    version = run_child([sys.executable, "-m", "pancyclic.cli", "--version"])
     assert version.returncode == 0
     assert __version__ in version.stdout
 
     # `python -m pancyclic` is the install-free form of the `pancyclic` command.
-    piped = run([sys.executable, "-m", "pancyclic", "canon"], stdin="C~\n")
+    piped = run_child([sys.executable, "-m", "pancyclic", "canon"], stdin="C~\n")
     assert piped.returncode == 0
     assert json.loads(piped.stdout)["result"]["code_hex"] == "3f"
-    empty = run([sys.executable, "-m", "pancyclic", "canon"], stdin="")
+    empty = run_child([sys.executable, "-m", "pancyclic", "canon"], stdin="")
     assert empty.returncode == 2 and "standard input" in empty.stderr
 
     # The console script that an install creates calls cli.main.
@@ -352,6 +352,16 @@ def test_console_script_runs():
     # Where the console script is installed, run it on the same pipe.
     script = shutil.which("pancyclic")
     if script is not None:
-        installed = run([script, "canon"], stdin="C~\n")
+        installed = run_child([script, "canon"], stdin="C~\n")
         assert installed.returncode == 0
         assert json.loads(installed.stdout)["result"]["code_hex"] == "3f"
+
+
+def test_bad_worker_env_is_usage_error():
+    bad = run_child(
+        [sys.executable, "-m", "pancyclic", "search", "min-size", "--order", "4",
+         "--predicate", "edge-pancyclic"],
+        PANCYCLIC_WORKERS="abc",
+    )
+    assert bad.returncode == 2
+    assert "PANCYCLIC_WORKERS" in bad.stderr and "Traceback" not in bad.stderr

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,6 +32,7 @@ from pancyclic import (
     resolve_workers,
     wheel,
 )
+from pancyclic import search
 from pancyclic.search import WORKERS_ENV
 from oracles import iter_labeled_graphs
 
@@ -169,15 +171,55 @@ def test_min_size_rejects_bad_parameters():
         min_size_triangle_cover(3, 3)
 
 
-def test_search_determinism_and_worker_independence():
-    a = min_size_triangle_cover(8, 2)
-    b = min_size_triangle_cover(8, 2)
-    c = min_size_triangle_cover(8, 2, workers=2)
-    d = min_size_triangle_cover(8, 2, workers=3)
-    for other in (b, c, d):
-        assert a.value == other.value
-        assert a.witnesses == other.witnesses
-        assert a.counts == other.counts
+def test_search_determinism_and_worker_independence(monkeypatch):
+    runs = (
+        lambda w: min_size_triangle_cover(8, 2, workers=w),
+        lambda w: max_diameter_edge_pancyclic(6, mode="exhaustive", workers=w),
+        lambda w: min_size_edge_pancyclic(8, workers=w),
+    )
+    for run in runs:
+        a = run(1)
+        assert a.exhaustive
+        for other in (run(1), run(2), run(3)):
+            assert other.value == a.value
+            assert other.witnesses == a.witnesses
+            assert other.counts == a.counts
+            assert other.exhaustive == a.exhaustive
+    # A tree smaller than the split frontier has no worker tasks: it is
+    # walked in this process and never asks for a pool.
+    serial = min_size_triangle_cover(5, 2, workers=1)
+    monkeypatch.setattr(search, "multiprocessing", None)
+    fallback = min_size_triangle_cover(5, 2, workers=4)
+    assert fallback.to_json_dict() == serial.to_json_dict()
+
+
+def test_worker_split_fills_the_frontier(monkeypatch):
+    # Replays the split in this process and records each task list.
+    task_nodes: list[list[int]] = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+        def map(self, fn, tasks):
+            out = [fn(t) for t in tasks]
+            task_nodes.append([seen for seen, _, _ in out])
+            return out
+
+    monkeypatch.setattr(search, "multiprocessing", SimpleNamespace(Pool=SerialPool))
+    for workers in (2, 3):
+        task_nodes.clear()
+        out = min_size_edge_pancyclic(8, workers=workers)
+        (nodes,) = task_nodes
+        assert len(nodes) >= search._TASKS_PER_WORKER * workers
+        assert sum(nodes) < out.counts["tree_nodes"] == 147
+        assert max(nodes) <= out.counts["tree_nodes"] // 4
 
 
 def test_class_budget_marks_outcome_non_exhaustive():
@@ -264,3 +306,6 @@ def test_resolve_workers(monkeypatch):
     assert resolve_workers(1) == 1  # explicit beats environment
     with pytest.raises(GraphError):
         resolve_workers(0)
+    monkeypatch.setenv(WORKERS_ENV, "abc")
+    with pytest.raises(GraphError, match=WORKERS_ENV):
+        resolve_workers()
