@@ -12,11 +12,18 @@ Absence of a length is certified by exhausting the pruned search tree. An
 optional node budget, one total shared by every probe of a check, turns
 long probes into an explicit "unknown" verdict (never a silent false
 negative); reports carry the verdict, evidence, and search statistics.
+
+Every check runs on one engine. ``_Probes`` holds a check's budget, probe
+count and per-edge graph-without-edge adjacency. A predicate is a generator
+of needs in probe order, each a detail plus the probes that can meet it;
+``_first_unmet`` returns the first need that no probe met, certified absent
+(False) or stopped by the budget (None). The h-block battery is a table.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from . import families
@@ -185,6 +192,105 @@ def _probe(
     return True, witness
 
 
+# -- the probe engine --------------------------------------------------------
+
+
+class _Probes:
+    """Probe state of one check: its graph, one node budget shared by every
+    probe, the probe count, and each probed edge's graph-without-edge
+    adjacency, built on first use. Every probe goes through ``_probe``."""
+
+    def __init__(self, g: Graph, budget: int | None = None):
+        if budget is not None and budget < 0:
+            raise GraphError(f"budget must be a node count >= 0, got {budget}")
+        self.g = g
+        self.budget = budget
+        self.shared = _Budget(budget)
+        self.probes = 0
+        self.t0 = time.monotonic()
+        self._without: dict[Edge, tuple[int, ...]] = {}
+
+    def path(
+        self, a: int, b: int, length: int, required: tuple[int, int] | None = None
+    ) -> tuple[bool | None, list[int] | None]:
+        """A simple (a, b)-path with ``length`` edges, through ``required`` if set."""
+        self.probes += 1
+        return _probe(self.g.adj, a, b, length, self.shared, required)
+
+    def cycle(self, a: int, b: int, length: int) -> tuple[bool | None, list[int] | None]:
+        """A cycle of ``length`` through edge ab: an (a, b)-path of
+        ``length - 1`` edges in the graph without ab."""
+        key = Edge.of(a, b)
+        adj = self._without.get(key)
+        if adj is None:
+            adj = self._without[key] = self.g.without_edge(a, b).adj
+        self.probes += 1
+        return _probe(adj, a, b, length - 1, self.shared)
+
+    def lengths(
+        self, a: int, b: int, targets: Iterable[int]
+    ) -> tuple[frozenset[int], int | None]:
+        """Cycle lengths through edge ab among ``targets`` (probed ascending,
+        those outside 3 .. order skipped), and the length at which the budget
+        stopped the probing, or None when it did not."""
+        if not self.g.has_edge(a, b):
+            raise GraphError(f"({a}, {b}) is not an edge of the graph")
+        found = set()
+        for length in sorted(set(targets)):
+            if 3 <= length <= self.g.order:
+                ok, _ = self.cycle(a, b, length)
+                if ok is None:
+                    return frozenset(found), length
+                if ok:
+                    found.add(length)
+        return frozenset(found), None
+
+    def report(self, predicate: str, verdict: bool | None, evidence: dict) -> CheckReport:
+        stats = {
+            "probes": self.probes,
+            "elapsed_ms": int((time.monotonic() - self.t0) * 1000),
+        }
+        if self.budget is not None:
+            stats["budget"] = self.budget
+            stats["budget_left"] = self.shared.left
+        return CheckReport(predicate, verdict, evidence, stats)
+
+
+_Need = tuple[dict, Iterable[tuple[bool | None, list[int] | None]]]
+
+
+def _first_unmet(needs: Iterable[_Need]) -> tuple[bool | None, dict | None]:
+    """Meet each need, in order, with the first of its probes that finds a path.
+
+    A need is (detail, probe results), the results produced lazily. Returns
+    (False, detail) for the first need whose probes are all certified
+    absent, (None, detail) when the budget stopped a probe of it first, and
+    (True, None) when every need is met.
+    """
+    for detail, results in needs:
+        for found, _ in results:
+            if found is None:
+                return None, detail
+            if found:
+                break
+        else:
+            return False, detail
+    return True, None
+
+
+def _decide(
+    probes: _Probes, predicate: str, needs: Iterable[_Need], holds: dict
+) -> CheckReport:
+    # Evidence: ``holds``, or the first unmet need's detail as missing_*/undecided_*.
+    verdict, detail = _first_unmet(needs)
+    if verdict:
+        return probes.report(predicate, True, holds)
+    prefix = "missing" if verdict is False else "undecided"
+    return probes.report(
+        predicate, verdict, {f"{prefix}_{key}": val for key, val in detail.items()}
+    )
+
+
 # -- public low-level operations -------------------------------------------
 
 
@@ -196,36 +302,21 @@ def path_length_set(
         raise GraphError(f"invalid path endpoints ({a}, {b})")
     if targets is None:
         targets = tuple(range(1, g.order))
-    found = set()
-    budget = _Budget(None)
-    for length in sorted(set(targets)):
-        if length < 1 or length > g.order - 1:
-            continue
-        ok, _ = _probe(g.adj, a, b, length, budget)
-        if ok:
-            found.add(length)
-    return frozenset(found)
+    probes = _Probes(g)
+    return frozenset(
+        length
+        for length in sorted(set(targets))
+        if 1 <= length <= g.order - 1 and probes.path(a, b, length)[0]
+    )
 
 
 def edge_cycle_lengths(
     g: Graph, e: tuple[int, int], targets: tuple[int, ...] | None = None
 ) -> frozenset[int]:
     """Exact set of cycle lengths through edge ``e`` (within ``targets``)."""
-    u, v = e
-    if not g.has_edge(u, v):
-        raise GraphError(f"({u}, {v}) is not an edge of the graph")
     if targets is None:
         targets = tuple(range(3, g.order + 1))
-    reduced = g.without_edge(u, v)
-    found = set()
-    budget = _Budget(None)
-    for length in sorted(set(targets)):
-        if length < 3 or length > g.order:
-            continue
-        ok, _ = _probe(reduced.adj, u, v, length - 1, budget)
-        if ok:
-            found.add(length)
-    return frozenset(found)
+    return _Probes(g).lengths(*e, targets)[0]
 
 
 def cycle_spectrum(
@@ -239,27 +330,13 @@ def cycle_spectrum(
     probe_edges = [Edge.of(*e) for e in edges] if edges is not None else list(g.edges())
     if targets is None:
         targets = tuple(range(3, g.order + 1))
-    shared = _Budget(budget)
+    probes = _Probes(g, budget)
     table: dict[Edge, frozenset[int]] = {}
-    complete = True
     for e in probe_edges:
-        if not g.has_edge(e.u, e.v):
-            raise GraphError(f"({e.u}, {e.v}) is not an edge of the graph")
-        reduced = g.without_edge(e.u, e.v)
-        found = set()
-        for length in sorted(set(targets)):
-            if length < 3 or length > g.order:
-                continue
-            ok, _ = _probe(reduced.adj, e.u, e.v, length - 1, shared)
-            if ok is None:
-                complete = False
-                break
-            if ok:
-                found.add(length)
-        table[e] = frozenset(found)
-        if not complete:
-            break
-    return CycleSpectrum(lengths_by_edge=table, complete=complete)
+        table[e], stopped = probes.lengths(e.u, e.v, targets)
+        if stopped is not None:
+            return CycleSpectrum(lengths_by_edge=table, complete=False)
+    return CycleSpectrum(lengths_by_edge=table, complete=True)
 
 
 # -- predicates -------------------------------------------------------------
@@ -289,134 +366,56 @@ def is_edge_pancyclic(
     """
     if g.order < 3:
         raise GraphError("edge-pancyclicity needs at least 3 vertices")
-    t0 = time.monotonic()
-    shared = _Budget(budget)
-    witness_map: dict[str, dict[int, list[int]]] = {}
-    probes = 0
-    for e in g.edges():
-        reduced = g.without_edge(e.u, e.v)
-        per_edge: dict[int, list[int]] = {}
-        for length in range(3, g.order + 1):
-            probes += 1
-            ok, path = _probe(reduced.adj, e.u, e.v, length - 1, shared)
-            if ok is None:
-                return CheckReport(
-                    predicate="edge-pancyclic",
-                    verdict=None,
-                    evidence={"undecided_edge": [e.u, e.v], "undecided_length": length},
-                    stats=_stats(t0, probes, budget, shared),
-                )
-            if not ok:
-                return CheckReport(
-                    predicate="edge-pancyclic",
-                    verdict=False,
-                    evidence={"missing_edge": [e.u, e.v], "missing_length": length},
-                    stats=_stats(t0, probes, budget, shared),
-                )
-            if witnesses:
-                per_edge[length] = path
-        if witnesses:
-            witness_map[f"{e.u}-{e.v}"] = per_edge
-    evidence: dict = {"edges_checked": g.size, "lengths": [3, g.order]}
+    probes = _Probes(g, budget)
+    cycles: dict[str, dict[int, list[int]]] = {}
+
+    def needs() -> Iterator[_Need]:
+        for e in g.edges():
+            for length in range(3, g.order + 1):
+                hit = probes.cycle(e.u, e.v, length)
+                if witnesses:
+                    cycles.setdefault(f"{e.u}-{e.v}", {})[length] = hit[1]
+                yield {"edge": [e.u, e.v], "length": length}, (hit,)
+
+    holds: dict = {"edges_checked": g.size, "lengths": [3, g.order]}
     if witnesses:
-        evidence["witnesses"] = witness_map
-    return CheckReport(
-        predicate="edge-pancyclic",
-        verdict=True,
-        evidence=evidence,
-        stats=_stats(t0, probes, budget, shared),
-    )
+        holds["witnesses"] = cycles  # complete whenever every need is met
+    return _decide(probes, "edge-pancyclic", needs(), holds)
 
 
 def is_vertex_pancyclic(g: Graph, *, budget: int | None = None) -> CheckReport:
     """Every vertex on a cycle of every length from 3 to the order."""
     if g.order < 3:
         raise GraphError("vertex-pancyclicity needs at least 3 vertices")
-    t0 = time.monotonic()
-    shared = _Budget(budget)
-    probes = 0
-    for v in range(g.order):
-        for length in range(3, g.order + 1):
-            found = False
-            undecided = False
-            for u in g.neighbors(v):
-                probes += 1
-                reduced = g.without_edge(v, u)
-                ok, _ = _probe(reduced.adj, v, u, length - 1, shared)
-                if ok:
-                    found = True
-                    break
-                if ok is None:
-                    undecided = True
-                    break
-            if found:
-                continue
-            if undecided:
-                return CheckReport(
-                    predicate="vertex-pancyclic",
-                    verdict=None,
-                    evidence={"undecided_vertex": v, "undecided_length": length},
-                    stats=_stats(t0, probes, budget, shared),
+    probes = _Probes(g, budget)
+
+    def needs() -> Iterator[_Need]:
+        for v in range(g.order):
+            for length in range(3, g.order + 1):
+                yield (
+                    {"vertex": v, "length": length},
+                    (probes.cycle(v, u, length) for u in g.neighbors(v)),
                 )
-            return CheckReport(
-                predicate="vertex-pancyclic",
-                verdict=False,
-                evidence={"missing_vertex": v, "missing_length": length},
-                stats=_stats(t0, probes, budget, shared),
-            )
-    return CheckReport(
-        predicate="vertex-pancyclic",
-        verdict=True,
-        evidence={"vertices_checked": g.order, "lengths": [3, g.order]},
-        stats=_stats(t0, probes, budget, shared),
-    )
+
+    holds = {"vertices_checked": g.order, "lengths": [3, g.order]}
+    return _decide(probes, "vertex-pancyclic", needs(), holds)
 
 
 def is_pancyclic(g: Graph, *, budget: int | None = None) -> CheckReport:
     """Some cycle of every length from 3 to the order."""
     if g.order < 3:
         raise GraphError("pancyclicity needs at least 3 vertices")
-    t0 = time.monotonic()
-    shared = _Budget(budget)
-    probes = 0
+    probes = _Probes(g, budget)
     all_edges = list(g.edges())
-    for length in range(3, g.order + 1):
-        found = False
-        for e in all_edges:
-            probes += 1
-            reduced = g.without_edge(e.u, e.v)
-            ok, _ = _probe(reduced.adj, e.u, e.v, length - 1, shared)
-            if ok is None:
-                return CheckReport(
-                    predicate="pancyclic",
-                    verdict=None,
-                    evidence={"undecided_length": length},
-                    stats=_stats(t0, probes, budget, shared),
-                )
-            if ok:
-                found = True
-                break
-        if not found:
-            return CheckReport(
-                predicate="pancyclic",
-                verdict=False,
-                evidence={"missing_length": length},
-                stats=_stats(t0, probes, budget, shared),
+
+    def needs() -> Iterator[_Need]:
+        for length in range(3, g.order + 1):
+            yield (
+                {"length": length},
+                (probes.cycle(e.u, e.v, length) for e in all_edges),
             )
-    return CheckReport(
-        predicate="pancyclic",
-        verdict=True,
-        evidence={"lengths": [3, g.order]},
-        stats=_stats(t0, probes, budget, shared),
-    )
 
-
-def _stats(t0: float, probes: int, budget: int | None, shared: _Budget) -> dict:
-    out = {"probes": probes, "elapsed_ms": int((time.monotonic() - t0) * 1000)}
-    if budget is not None:
-        out["budget"] = budget
-        out["budget_left"] = shared.left
-    return out
+    return _decide(probes, "pancyclic", needs(), {"lengths": [3, g.order]})
 
 
 # -- structural verifications ------------------------------------------------
@@ -488,144 +487,64 @@ def verify_h_block_properties(k: int, *, budget: int | None = None) -> CheckRepo
         on a (v1, u1)-path of length 4.
     P5: the centre-centre edge vu lies on cycles of every length 3 .. 3k-1
         and on a (v1, u1)-path of length 3; its full exact spectrum is
-        reported as evidence.
+        reported as evidence, its longer lengths probed from the same budget.
     P6: each spoke vv_i lies on cycles of every length 3 .. 6k-i-3 and on a
         (v1, u1)-path of length 3k-i+1.
     """
     if k < 3:
         raise GraphError("the two-fan block needs k >= 3")
-    t0 = time.monotonic()
     lab = families.h_block(k)
-    g, names = lab.graph, lab.labels
-    v, u = names["v"], names["u"]
-    v1, u1 = names["v1"], names["u1"]
-    order = g.order
-    shared = _Budget(budget)
-    probes = 0
-    evidence: dict = {"k": k, "order": order, "size": g.size}
+    probes = _Probes(lab.graph, budget)
+    evidence: dict = {"k": k, "order": lab.graph.order, "size": lab.graph.size}
+    verdict, detail = _first_unmet(_h_block_needs(k, lab, probes, evidence))
+    if verdict is not True:
+        evidence["failed" if verdict is False else "undecided"] = detail
+    return probes.report("h-block-properties", verdict, evidence)
 
-    def fail(prop: str, detail: dict) -> CheckReport:
-        evidence["failed"] = {"property": prop, **detail}
-        return CheckReport(
-            predicate="h-block-properties",
-            verdict=False,
-            evidence=evidence,
-            stats=_stats(t0, probes, budget, shared),
-        )
 
-    def undecided(prop: str, detail: dict) -> CheckReport:
-        evidence["undecided"] = {"property": prop, **detail}
-        return CheckReport(
-            predicate="h-block-properties",
-            verdict=None,
-            evidence=evidence,
-            stats=_stats(t0, probes, budget, shared),
-        )
-
-    def path_probe(length: int, required: tuple[int, int] | None = None):
-        nonlocal probes
-        probes += 1
-        return _probe(g.adj, v1, u1, length, shared, required)
-
-    def cycles_probe(edge: tuple[int, int], lengths: range) -> tuple[str, int] | None:
-        # Returns None when all lengths present; otherwise ("miss"|"budget", length).
-        nonlocal probes
-        reduced = g.without_edge(*edge)
-        for p in lengths:
-            probes += 1
-            ok, _ = _probe(reduced.adj, edge[0], edge[1], p - 1, shared)
-            if ok is None:
-                return ("budget", p)
-            if not ok:
-                return ("miss", p)
-        return None
-
-    # P1
-    for p in range(3, 6 * k - 4):
-        ok, _ = path_probe(p)
-        if ok is None:
-            return undecided("P1", {"length": p})
-        if not ok:
-            return fail("P1", {"length": p})
-    evidence["P1"] = {"path_lengths": [3, 6 * k - 5]}
-
-    # P2
+def _h_block_needs(
+    k: int, lab: families.Labeled, probes: _Probes, evidence: dict
+) -> Iterator[_Need]:
+    # P1-P6 as needs in probe order. A property's evidence is written when
+    # the generator resumes past its last need, that is once all were met.
+    names = lab.labels
+    v, u, v1, u1 = names["v"], names["u"], names["v1"], names["u1"]
+    top = 6 * k - 4  # the order: the longest cycle, one more than the longest path
+    for p in range(3, top):
+        yield {"property": "P1", "length": p}, (probes.path(v1, u1, p),)
+    evidence["P1"] = {"path_lengths": [3, top - 1]}
     spine = families.h_block_spine_edges(lab)
     for e in spine:
-        ok, _ = path_probe(6 * k - 5, required=(e.u, e.v))
-        if ok is None:
-            return undecided("P2", {"edge": [e.u, e.v]})
-        if not ok:
-            return fail("P2", {"edge": [e.u, e.v]})
-    evidence["P2"] = {"spine_edges": len(spine), "path_length": 6 * k - 5}
-
-    # P3
-    for i in range(1, 3 * k - 3):
-        e = (names[f"v{i}"], names[f"v{i + 1}"])
-        bad = cycles_probe(e, range(3, 6 * k - 3))
-        if bad is not None:
-            kind, p = bad
-            return (undecided if kind == "budget" else fail)(
-                "P3", {"edge": list(e), "length": p}
-            )
-        ok, _ = path_probe(3 * k - i + 1, required=e)
-        if ok is None:
-            return undecided("P3", {"edge": list(e), "path_length": 3 * k - i + 1})
-        if not ok:
-            return fail("P3", {"edge": list(e), "path_length": 3 * k - i + 1})
-    evidence["P3"] = {"edges": 3 * k - 4, "cycle_lengths": [3, 6 * k - 4]}
-
-    # P4
-    far = (v, names[f"u{3 * k - 3}"])
-    bad = cycles_probe(far, range(3, 6 * k - 3))
-    if bad is not None:
-        kind, p = bad
-        return (undecided if kind == "budget" else fail)("P4", {"length": p})
-    ok, _ = path_probe(4, required=far)
-    if ok is None:
-        return undecided("P4", {"path_length": 4})
-    if not ok:
-        return fail("P4", {"path_length": 4})
-    evidence["P4"] = {"cycle_lengths": [3, 6 * k - 4], "path_length": 4}
-
-    # P5: required range plus the full exact spectrum as evidence.
-    centre = (v, u)
-    bad = cycles_probe(centre, range(3, 3 * k))
-    if bad is not None:
-        kind, p = bad
-        return (undecided if kind == "budget" else fail)("P5", {"length": p})
-    ok, _ = path_probe(3, required=centre)
-    if ok is None:
-        return undecided("P5", {"path_length": 3})
-    if not ok:
-        return fail("P5", {"path_length": 3})
-    spectrum = edge_cycle_lengths(g, centre)
-    probes += order - 2
-    evidence["P5"] = {
-        "cycle_lengths": [3, 3 * k - 1],
-        "path_length": 3,
-        "exact_spectrum": sorted(spectrum),
-    }
-
-    # P6
-    for i in range(1, 3 * k - 2):
-        e = (v, names[f"v{i}"])
-        bad = cycles_probe(e, range(3, 6 * k - i - 2))
-        if bad is not None:
-            kind, p = bad
-            return (undecided if kind == "budget" else fail)(
-                "P6", {"edge": list(e), "length": p}
-            )
-        ok, _ = path_probe(3 * k - i + 1, required=e)
-        if ok is None:
-            return undecided("P6", {"edge": list(e), "path_length": 3 * k - i + 1})
-        if not ok:
-            return fail("P6", {"edge": list(e), "path_length": 3 * k - i + 1})
-    evidence["P6"] = {"edges": 3 * k - 3}
-
-    return CheckReport(
-        predicate="h-block-properties",
-        verdict=True,
-        evidence=evidence,
-        stats=_stats(t0, probes, budget, shared),
+        yield (
+            {"property": "P2", "edge": [e.u, e.v]},
+            (probes.path(v1, u1, top - 1, (e.u, e.v)),),
+        )
+    evidence["P2"] = {"spine_edges": len(spine), "path_length": top - 1}
+    # P3-P6: (property, rows of (edge, longest cycle length, (v1, u1)-path
+    # length through the edge), evidence). A row's detail names its edge
+    # only when the property has several.
+    table = (
+        ("P3", [((names[f"v{i}"], names[f"v{i + 1}"]), top, 3 * k - i + 1)
+                for i in range(1, 3 * k - 3)],
+         {"edges": 3 * k - 4, "cycle_lengths": [3, top]}),
+        ("P4", [((v, names[f"u{3 * k - 3}"]), top, 4)],
+         {"cycle_lengths": [3, top], "path_length": 4}),
+        ("P5", [((v, u), 3 * k - 1, 3)],
+         {"cycle_lengths": [3, 3 * k - 1], "path_length": 3}),
+        ("P6", [((v, names[f"v{i}"]), top - i + 1, 3 * k - i + 1)
+                for i in range(1, 3 * k - 2)],
+         {"edges": 3 * k - 3}),
     )
+    for prop, rows, met in table:
+        for e, longest, path_length in rows:
+            at = {"property": prop, "edge": list(e)} if len(rows) > 1 else {"property": prop}
+            for p in range(3, longest + 1):
+                yield {**at, "length": p}, (probes.cycle(*e, p),)
+            yield {**at, "path_length": path_length}, (probes.path(v1, u1, path_length, e),)
+        if prop == "P5":
+            # Spectrum evidence: 3 .. 3k-1 were certified just above.
+            tail, stopped = probes.lengths(v, u, range(3 * k, top + 1))
+            if stopped is not None:
+                yield {"property": "P5", "length": stopped}, ((None, None),)
+            met["exact_spectrum"] = list(range(3, 3 * k)) + sorted(tail)
+        evidence[prop] = met

@@ -280,6 +280,8 @@ def _run_verify(args: argparse.Namespace) -> int:
         if args.k is None:
             raise GraphError(f"verify {name} needs --k")
         inputs["k"] = args.k
+        if args.budget is not None:
+            inputs["budget"] = args.budget
     if name == "lemma1":
         claims = _verify_lemma1(args.n, args.workers)
     elif name == "lemma2":
@@ -295,7 +297,13 @@ def _run_verify(args: argparse.Namespace) -> int:
         claims = _verify_block(args.k, args.budget)
     result = {"claims": claims, "pass": all(c["pass"] for c in claims)}
     print(_envelope("verify", {"result": name, **inputs}, result, t0))
-    return EXIT_TRUE if result["pass"] else EXIT_FALSE
+    # A check that the budget stopped reports its verdict claim as None.
+    return _worst([
+        EXIT_TRUE if c["pass"]
+        else EXIT_BUDGET if c["actual"] is None and "budget" in inputs
+        else EXIT_FALSE
+        for c in claims
+    ])
 
 
 # -- parser wiring -----------------------------------------------------------
@@ -365,7 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop after this many tree nodes (outcome marked non-exhaustive)")
     q.set_defaults(func=_run_search_min_size)
 
-    q = ssub.add_parser("max-diameter", help="largest diameter over edge-pancyclic graphs")
+    q = ssub.add_parser(
+        "max-diameter",
+        help="largest diameter over edge-pancyclic graphs",
+        description="Largest diameter over edge-pancyclic graphs of one order. "
+                    "Order 9 has no constructed witness, so auto and --witness "
+                    "mode silently run the exhaustive walk there, with no time "
+                    "estimate.",
+    )
     q.add_argument("--order", type=int, required=True)
     mode = q.add_mutually_exclusive_group()
     mode.add_argument("--exhaustive", action="store_true",
@@ -382,9 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="order (lemma1, lemma2, erdos, thm6)")
     p.add_argument("--k", type=int, help="parameter (thm5, hk-props)")
     p.add_argument("--exhaustive", action="store_true",
-                   help="thm6: search instead of constructing a witness")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+                   help="thm6: search instead of constructing a witness; "
+                        "without it, order 9 has no constructed witness and "
+                        "silently runs the exhaustive walk, with no time estimate")
+    p.add_argument("--budget", type=int, default=None,
+                   help="one total DFS node cap for thm5/hk-props, P5 spectrum "
+                        "included; a check it stops exits 3; default unlimited")
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker processes for the lemma1, lemma2, erdos and thm6 "
+                        "searches (default: PANCYCLIC_WORKERS, else all processors)")
     p.set_defaults(func=_run_verify)
 
     return parser

@@ -41,7 +41,7 @@ import multiprocessing
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import checks
 from .canon import _canonize, canonical_graph
@@ -69,21 +69,18 @@ class SearchBudgetExceeded(Exception):
     """Raised internally when a class budget stops a search before completion."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphFilter:
-    """Leaf filter for enumeration: degree, connectivity, size and predicate."""
+    """Picklable leaf filter: minimum degree, connectivity, then predicate.
+
+    Cheap tests run first; the predicate probe dominates cost and runs last.
+    """
 
     min_degree: int = 0
     connectivity: int = 0
-    size_lo: int = 0
-    size_hi: int | None = None
     predicate: str | None = None  # triangle-cover | edge-pancyclic | vertex-pancyclic | pancyclic
 
     def passes(self, g: Graph) -> bool:
-        if g.size < self.size_lo:
-            return False
-        if self.size_hi is not None and g.size > self.size_hi:
-            return False
         if self.min_degree > 0 and (g.order == 0 or min_degree(g) < self.min_degree):
             return False
         if self.connectivity > 0 and not is_k_connected(g, self.connectivity):
@@ -414,7 +411,7 @@ def _walk_covered(
     survey: _CoveredSurvey,
     size_lo: int,
     class_budget: int | None,
-    collect: Callable[[list[int], int, int], bool],
+    keep: GraphFilter,
     frontier: int | None = None,
 ) -> list[tuple[list[int], int, int, int]]:
     # Depth-first walk. With ``frontier`` set, the walk is breadth-first
@@ -430,8 +427,9 @@ def _walk_covered(
             raise SearchBudgetExceeded
         if act == n and m >= size_lo:
             survey.exact_order_by_size[m] = survey.exact_order_by_size.get(m, 0) + 1
-            if collect(rows, act, m):
-                survey.survivors.append((act, tuple(rows)))
+            leaf = Graph(act, tuple(rows))
+            if keep.passes(leaf):
+                survey.survivors.append((act, leaf.adj))
         # Different triangles that add the same missing edges give the same
         # child; drop the repeats before canonizing them.
         seen_rows: set[tuple[int, tuple[int, ...]]] = set()
@@ -481,13 +479,10 @@ def enumerate_covered_graphs(
     canonical representative per isomorphism class."""
     if n < 3:
         return
-    found: list[tuple[int, tuple[int, ...]]] = []
-
-    def keep(rows: list[int], act: int, m: int) -> bool:
-        return True
-
     survey = _CoveredSurvey()
-    _walk_covered([], 0, 0, 0, n, max_size, min_deg_final, survey, size_lo, None, keep)
+    _walk_covered(
+        [], 0, 0, 0, n, max_size, min_deg_final, survey, size_lo, None, GraphFilter()
+    )
     for act, rows in survey.survivors:
         yield canonical_graph(Graph(act, rows))
 
@@ -495,41 +490,13 @@ def enumerate_covered_graphs(
 # -- survey plumbing: leaf filters, worker split, deterministic merge --------
 
 
-@dataclass(frozen=True)
-class _KeepSpec:
-    """Picklable leaf filter applied to every order-n node of the tree walk.
-
-    Cheap tests run first; the predicate probe dominates cost and runs last.
-    """
-
-    min_degree: int = 0
-    kappa: int = 0
-    predicate: str | None = None
-
-    def test(self, g: Graph) -> bool:
-        if self.min_degree > 0 and min_degree(g) < self.min_degree:
-            return False
-        if self.kappa > 0 and not is_k_connected(g, self.kappa):
-            return False
-        if self.predicate is not None and not _predicate_holds(self.predicate, g):
-            return False
-        return True
-
-    def collector(self) -> Callable[[list[int], int, int], bool]:
-        def collect(rows: list[int], act: int, m: int) -> bool:
-            return self.test(Graph(act, tuple(rows)))
-
-        return collect
-
-
 def _subtree_survey(
-    task: tuple[list[int], int, int, int, int, int, int, int, _KeepSpec]
+    task: tuple[list[int], int, int, int, int, int, int, int, GraphFilter]
 ) -> tuple[int, dict[int, int], list[tuple[int, tuple[int, ...]]]]:
     rows, act, m, code, n, m_hi, min_deg_final, size_lo, keep = task
     survey = _CoveredSurvey()
     _walk_covered(
-        list(rows), act, m, code, n, m_hi, min_deg_final, survey, size_lo,
-        None, keep.collector(),
+        list(rows), act, m, code, n, m_hi, min_deg_final, survey, size_lo, None, keep
     )
     return survey.classes_seen, survey.exact_order_by_size, survey.survivors
 
@@ -538,7 +505,7 @@ def _survey_covered(
     n: int,
     m_hi: int,
     min_deg_final: int,
-    keep: _KeepSpec,
+    keep: GraphFilter,
     *,
     size_lo: int = 0,
     workers: int | None = None,
@@ -558,6 +525,8 @@ def _survey_covered(
     below it partition the tree, and each isomorphism class lives in exactly
     one tree node, so merging is plain summation with no dedup.
     """
+    if class_budget is not None and class_budget < 0:
+        raise GraphError(f"class budget must be >= 0, got {class_budget}")
     survey = _CoveredSurvey()
     if n < 3 or m_hi < 3:
         return survey, True
@@ -566,7 +535,7 @@ def _survey_covered(
     try:
         pending = _walk_covered(
             [], 0, 0, 0, n, m_hi, min_deg_final, survey, size_lo,
-            class_budget, keep.collector(),
+            class_budget, keep,
             frontier=_TASKS_PER_WORKER * nworkers if split else None,
         )
     except SearchBudgetExceeded:
@@ -596,11 +565,11 @@ def _survivor_graphs(survey: _CoveredSurvey) -> list[Graph]:
     return out
 
 
-def _reverify(graphs: list[Graph], keep: _KeepSpec) -> None:
+def _reverify(graphs: list[Graph], keep: GraphFilter) -> None:
     # Witnesses are re-verified on their canonical relabeling before emission;
     # a failure here means the generator and the checker disagree.
     for g in graphs:
-        if not keep.test(g):
+        if not keep.passes(g):
             raise GraphError(
                 f"witness failed re-verification: {emit_graph6(g)}"
             )
@@ -615,7 +584,7 @@ def _ascend_min_size(
     start_hi: int,
     floor: int,
     min_deg_final: int,
-    keep: _KeepSpec,
+    keep: GraphFilter,
     workers: int | None,
     class_budget: int | None,
 ) -> SearchOutcome:
@@ -666,13 +635,13 @@ def _ascend_min_size(
 
 
 def _min_size_stream(
-    objective: str, n: int, stream: Iterable[str], keep: _KeepSpec
+    objective: str, n: int, stream: Iterable[str], keep: GraphFilter
 ) -> SearchOutcome:
     by_size: dict[int, list[Graph]] = {}
     total = 0
     for g in _filter_stream(n, stream, None, None):
         total += 1
-        if keep.test(g):
+        if keep.passes(g):
             by_size.setdefault(g.size, []).append(g)
     value = min(by_size) if by_size else None
     witnesses: list[str] = []
@@ -704,7 +673,7 @@ def min_size_edge_pancyclic(
     those leaf filters is a complete search space.
     """
     objective = "min-size edge-pancyclic"
-    keep = _KeepSpec(min_degree=3, kappa=2, predicate="edge-pancyclic")
+    keep = GraphFilter(min_degree=3, connectivity=2, predicate="edge-pancyclic")
     if stream is not None:
         return _min_size_stream(objective, n, stream, keep)
     if not 4 <= n <= _BUILTIN_MAX_ORDER:
@@ -750,8 +719,8 @@ def min_size_triangle_cover(
         )
     floor = _TC_FLOOR[kappa](n)
     min_deg_final = 3 if kappa == 3 else 2
-    keep = _KeepSpec(
-        min_degree=min_deg_final, kappa=kappa, predicate="triangle-cover"
+    keep = GraphFilter(
+        min_degree=min_deg_final, connectivity=kappa, predicate="triangle-cover"
     )
     return _ascend_min_size(
         f"min-size triangle-cover kappa={kappa}", n,
@@ -821,7 +790,9 @@ def max_diameter_edge_pancyclic(
             "use witness mode for larger orders"
         )
     min_deg_final = 3 if n >= 4 else 2
-    keep = _KeepSpec(min_degree=min_deg_final, kappa=2, predicate="edge-pancyclic")
+    keep = GraphFilter(
+        min_degree=min_deg_final, connectivity=2, predicate="edge-pancyclic"
+    )
     survey, complete = _survey_covered(
         n, n * (n - 1) // 2, min_deg_final, keep,
         workers=workers, class_budget=class_budget,
@@ -871,7 +842,9 @@ def extremal_census(
         min_deg_final = 3 if n >= 4 else 2
     else:
         min_deg_final = 3 if kappa >= 3 else 2
-    keep = _KeepSpec(min_degree=min_deg_final, kappa=kappa, predicate=predicate)
+    keep = GraphFilter(
+        min_degree=min_deg_final, connectivity=kappa, predicate=predicate
+    )
     survey, _ = _survey_covered(
         n, m_hi, min_deg_final, keep,
         size_lo=0 if size is None else size,

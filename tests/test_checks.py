@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from pancyclic import (
     GraphError,
+    checks,
     build_graph,
     complete,
     cycle,
@@ -148,9 +149,19 @@ def test_predicate_separations():
     # pancyclic but not vertex-pancyclic: wheel missing one spoke
     h = build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (4, 1)])
     assert is_pancyclic(h).verdict is True
-    assert is_vertex_pancyclic(h).verdict is False
+    rep = is_vertex_pancyclic(h)
+    assert rep.verdict is False
+    assert rep.evidence == {"missing_vertex": 4, "missing_length": 3}
+    rep = is_vertex_pancyclic(h, budget=0)
+    assert rep.verdict is None
+    assert rep.evidence == {"undecided_vertex": 0, "undecided_length": 3}
     # not pancyclic at all
-    assert is_pancyclic(cycle(5)).verdict is False
+    rep = is_pancyclic(cycle(5))
+    assert rep.verdict is False
+    assert rep.evidence == {"missing_length": 3}
+    rep = is_pancyclic(h, budget=0)
+    assert rep.verdict is None
+    assert rep.evidence == {"undecided_length": 3}
 
 
 def test_predicate_implication_chain():
@@ -177,11 +188,94 @@ def test_budget_yields_unknown_not_wrong():
     assert rep.verdict is None
     assert any(k.startswith("undecided") for k in rep.evidence)
     rng = random.Random(31)
+    undecided = set()
     for _ in range(40):
         g = random_connected_graph(rng, rng.randint(4, 7), 0.5)
-        budgeted = is_edge_pancyclic(g, budget=30).verdict
-        if budgeted is not None:
-            assert budgeted == is_edge_pancyclic(g).verdict
+        for check in (is_edge_pancyclic, is_vertex_pancyclic, is_pancyclic):
+            budgeted = check(g, budget=30).verdict
+            if budgeted is None:
+                undecided.add(check.__name__)
+            else:
+                assert budgeted == check(g).verdict
+        full = cycle_spectrum(g).lengths_by_edge
+        part = cycle_spectrum(g, budget=30)
+        for e, lengths in part.lengths_by_edge.items():
+            assert lengths <= full[e]
+        if part.complete:
+            assert part.lengths_by_edge == full
+        else:
+            undecided.add("cycle_spectrum")
+    assert len(undecided) == 4
+    for call in (
+        lambda: is_edge_pancyclic(wheel(5), budget=-1),
+        lambda: is_vertex_pancyclic(wheel(5), budget=-1),
+        lambda: is_pancyclic(wheel(5), budget=-1),
+        lambda: cycle_spectrum(wheel(5), budget=-1),
+        lambda: verify_h_block_properties(3, budget=-1),
+    ):
+        with pytest.raises(GraphError):
+            call()
+
+
+class _CountingProbe:
+    """Stands in for ``checks._probe``: counts its calls and the DFS nodes
+    they expand, then runs the real probe."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self.nodes = 0
+        self._probe = checks._probe
+        monkeypatch.setattr(checks, "_probe", self)
+
+    def __call__(self, adj, a, b, length, budget, required=None):
+        self.calls += 1
+        return self._probe(adj, a, b, length, _CountingBudget(self, budget), required)
+
+
+class _CountingBudget:
+    def __init__(self, counter, inner):
+        self.counter = counter
+        self.inner = inner
+
+    def spend(self):
+        ok = self.inner.spend()
+        self.counter.nodes += ok
+        return ok
+
+
+def test_probe_count_matches_probe_calls(monkeypatch):
+    counter = _CountingProbe(monkeypatch)
+    sample = [wheel(7), q_graph(10), cycle(6), complete(5)]
+    runs = [
+        lambda g, b: is_edge_pancyclic(g, budget=b),
+        lambda g, b: is_edge_pancyclic(g, budget=b, witnesses=True),
+        lambda g, b: is_vertex_pancyclic(g, budget=b),
+        lambda g, b: is_pancyclic(g, budget=b),
+    ]
+    for g in sample:
+        for run in runs:
+            for budget in (None, 40, 300):
+                before = counter.calls
+                rep = run(g, budget)
+                assert rep.stats["probes"] == counter.calls - before
+    for budget in (None, 300, 4520):
+        before = counter.calls
+        rep = verify_h_block_properties(3, budget=budget)
+        assert rep.stats["probes"] == counter.calls - before
+
+
+def test_block_battery_budget_covers_p5_spectrum(monkeypatch):
+    counter = _CountingProbe(monkeypatch)
+    rep = verify_h_block_properties(3, budget=4520)
+    assert counter.nodes <= 4520
+    assert rep.verdict is None
+    assert rep.stats["budget_left"] == 0
+    assert "undecided" in rep.evidence and "failed" not in rep.evidence
+    # A stop inside the spectrum tail (lengths 3k .. 6k-4) leaves P5 undecided.
+    rep = verify_h_block_properties(3, budget=2840)
+    assert rep.verdict is None
+    assert rep.evidence["undecided"] == {"property": "P5", "length": 9}
+    assert "P4" in rep.evidence and "P5" not in rep.evidence
 
 
 def test_budget_spectrum_incomplete_flag():

@@ -192,6 +192,9 @@ def test_spectrum_budget_exit(monkeypatch, capsys):
     assert code == 3
     (row,) = envelopes(out)
     assert row["result"]["complete"] is False
+    for argv in (["spectrum", "--budget", "-1"], ["check", "edge-pancyclic", "--budget", "-1"]):
+        code, out, err = run_cli(monkeypatch, capsys, argv, stdin=C5)
+        assert code == 2 and out == "" and "budget" in err, argv
 
 
 def test_canon_matches_module_calls(monkeypatch, capsys):
@@ -233,6 +236,13 @@ def test_search_budget_exhausted_exit(monkeypatch, capsys):
     (row,) = envelopes(out)
     assert row["result"]["notes"] == BUDGET_NOTE
     assert row["result"]["exhaustive"] is False
+    code, out, err = run_cli(
+        monkeypatch,
+        capsys,
+        ["search", "min-size", "--order", "9", "--predicate", "triangle-cover",
+         "--kappa", "2", "--max-classes", "-2"],
+    )
+    assert code == 2 and out == "" and "budget" in err
 
 
 def test_search_stream_file(monkeypatch, capsys, tmp_path):
@@ -298,6 +308,16 @@ def test_verify_fast_claims(monkeypatch, capsys):
         (row,) = envelopes(out)
         assert row["result"]["pass"] is True
         assert all(c["pass"] for c in row["result"]["claims"])
+    # A budget that stops the check is "undecided" (3), not "claim false" (1).
+    for argv in (
+        ["verify", "thm5", "--k", "3", "--budget", "100"],
+        ["verify", "hk-props", "--k", "3", "--budget", "4520"],
+    ):
+        code, out, _ = run_cli(monkeypatch, capsys, argv)
+        assert code == 3, argv
+        (row,) = envelopes(out)
+        assert row["inputs"]["budget"] == int(argv[-1])
+        assert row["result"]["pass"] is False
 
 
 def test_verify_usage_errors(monkeypatch, capsys):
@@ -305,6 +325,11 @@ def test_verify_usage_errors(monkeypatch, capsys):
     assert code == 2 and "--n" in err
     code, _, _ = run_cli(monkeypatch, capsys, ["verify", "no-such-claim", "--n", "5"])
     assert code == 2
+    for result in ("thm5", "hk-props"):
+        code, out, err = run_cli(
+            monkeypatch, capsys, ["verify", result, "--k", "3", "--budget", "-1"]
+        )
+        assert code == 2 and out == "" and "budget" in err, result
 
 
 # -- envelope metadata and entry point ------------------------------------------

@@ -226,6 +226,8 @@ def test_class_budget_marks_outcome_non_exhaustive():
     out = min_size_triangle_cover(9, 2, class_budget=40)
     assert not out.exhaustive
     assert out.notes == BUDGET_NOTE
+    with pytest.raises(GraphError):
+        min_size_triangle_cover(9, 2, class_budget=-2)
 
 
 def test_stream_search_mode():
