@@ -18,6 +18,19 @@ count and per-edge graph-without-edge adjacency. A predicate is a generator
 of needs in probe order, each a detail plus the probes that can meet it;
 ``_first_unmet`` returns the first need that no probe met, certified absent
 (False) or stopped by the budget (None). The h-block battery is a table.
+
+Cycle probes run inside the edge's block (Hopcroft & Tarjan, CACM 16(6),
+1973). A cycle is 2-connected, so a cycle through ab lies inside ab's
+block: a length above the block's order (a bridge is a block of order 2)
+is certified absent with no DFS, and so is an odd length in a bipartite
+block, which has no odd cycle. Neither spends budget; ``stats`` counts them
+as ``certified``, apart from the DFS ``probes``. Every other cycle probe
+searches the graph without ab restricted to ab's block. That DFS walks a
+subtree of the unrestricted one in the same neighbour order: every pruning
+test reads a subset of the same residual graph, and every path it can
+complete lies in the block. So it finds the same witness, expands at most
+as many nodes, and under a budget can only turn an unknown into a decision.
+Path probes (``_Probes.path``) search the whole graph.
 """
 
 from __future__ import annotations
@@ -28,11 +41,13 @@ from dataclasses import dataclass, field
 
 from . import families
 from .graphs import (
+    Block,
     DistanceLayers,
     Edge,
     Graph,
     GraphError,
     distance_layers,
+    edge_blocks,
     is_connected,
     is_k_connected,
     min_degree,
@@ -197,8 +212,10 @@ def _probe(
 
 class _Probes:
     """Probe state of one check: its graph, one node budget shared by every
-    probe, the probe count, and each probed edge's graph-without-edge
-    adjacency, built on first use. Every probe goes through ``_probe``."""
+    probe, the probe count, the count of cycle probes certified without a
+    DFS, each edge's block (computed on the first cycle probe) and each
+    probed edge's block-without-edge adjacency, built on first use. Every
+    DFS goes through ``_probe``."""
 
     def __init__(self, g: Graph, budget: int | None = None):
         if budget is not None and budget < 0:
@@ -207,7 +224,9 @@ class _Probes:
         self.budget = budget
         self.shared = _Budget(budget)
         self.probes = 0
+        self.certified = 0
         self.t0 = time.monotonic()
+        self._blocks: dict[Edge, Block] | None = None
         self._without: dict[Edge, tuple[int, ...]] = {}
 
     def path(
@@ -219,11 +238,23 @@ class _Probes:
 
     def cycle(self, a: int, b: int, length: int) -> tuple[bool | None, list[int] | None]:
         """A cycle of ``length`` through edge ab: an (a, b)-path of
-        ``length - 1`` edges in the graph without ab."""
+        ``length - 1`` edges in ab's block without ab. Certified absent,
+        with no DFS and no budget spent, when ``length`` exceeds the
+        block's order or is odd in a bipartite block."""
+        if self._blocks is None:
+            self._blocks = edge_blocks(self.g)
         key = Edge.of(a, b)
+        block = self._blocks[key]
+        if length > block.order or (block.bipartite and length & 1):
+            self.certified += 1
+            return False, None
         adj = self._without.get(key)
         if adj is None:
-            adj = self._without[key] = self.g.without_edge(a, b).adj
+            mask = block.mask
+            adj = self._without[key] = tuple(
+                row & mask if mask >> v & 1 else 0
+                for v, row in enumerate(self.g.without_edge(a, b).adj)
+            )
         self.probes += 1
         return _probe(adj, a, b, length - 1, self.shared)
 
@@ -248,6 +279,7 @@ class _Probes:
     def report(self, predicate: str, verdict: bool | None, evidence: dict) -> CheckReport:
         stats = {
             "probes": self.probes,
+            "certified": self.certified,
             "elapsed_ms": int((time.monotonic() - self.t0) * 1000),
         }
         if self.budget is not None:

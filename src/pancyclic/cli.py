@@ -40,6 +40,8 @@ _CHECK_PREDICATES = (
     "layer-bounds",
     "connectivity",
 )
+_BUDGETED_PREDICATES = ("edge-pancyclic", "vertex-pancyclic", "pancyclic")
+_BUDGETED_RESULTS = ("thm5", "hk-props")
 
 
 def _envelope(command: str, inputs: dict, result: dict, t0: float) -> str:
@@ -69,6 +71,16 @@ def _stdin_graphs() -> Iterator[tuple[int, str, Graph]]:
             raise GraphError(f"line {lineno}: {exc}") from exc
     if not got_any:
         raise GraphError("no graph6 input on standard input")
+
+
+def _reject_unused_budget(
+    budget: int | None, command: str, name: str, users: tuple[str, ...]
+) -> None:
+    """A --budget given to a subcommand that never reads it is a usage error."""
+    if budget is not None and name not in users:
+        raise GraphError(
+            f"--budget applies only to {command} {'|'.join(users)}, not to {command} {name}"
+        )
 
 
 def _worst(codes: list[int]) -> int:
@@ -124,6 +136,7 @@ def _check_one(predicate: str, g: Graph, args: argparse.Namespace) -> dict:
 
 
 def _run_check(args: argparse.Namespace) -> int:
+    _reject_unused_budget(args.budget, "check", args.predicate, _BUDGETED_PREDICATES)
     codes = []
     for lineno, line, g in _stdin_graphs():
         t0 = time.monotonic()
@@ -271,12 +284,13 @@ def _verify_block(k: int, budget: int | None) -> list[dict]:
 def _run_verify(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     name = args.result
+    _reject_unused_budget(args.budget, "verify", name, _BUDGETED_RESULTS)
     inputs: dict = {}
     if name in ("lemma1", "lemma2", "erdos", "thm6"):
         if args.n is None:
             raise GraphError(f"verify {name} needs --n")
         inputs["n"] = args.n
-    if name in ("thm5", "hk-props"):
+    if name in _BUDGETED_RESULTS:
         if args.k is None:
             raise GraphError(f"verify {name} needs --k")
         inputs["k"] = args.k
@@ -339,8 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("predicate", choices=_CHECK_PREDICATES)
     p.add_argument("--budget", type=int, default=None,
-                   help="total DFS node cap per checked graph, shared by all of "
-                        "its (edge, length) probes; default unlimited")
+                   help="edge-pancyclic, vertex-pancyclic and pancyclic only: "
+                        "total DFS node cap per checked graph, shared by all of "
+                        "its (edge, length) probes; lengths certified absent by "
+                        "the edge's block spend none, and stats.probes counts "
+                        "DFS probes only; default unlimited")
     p.add_argument("--witnesses", action="store_true",
                    help="edge-pancyclic only: include one cycle per (edge, length)")
     p.add_argument("--kappa", type=int, default=1,
@@ -351,7 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
         "spectrum", help="per-edge cycle length sets for stdin graphs"
     )
     p.add_argument("--budget", type=int, default=None,
-                   help="total DFS node cap; incomplete probes are reported")
+                   help="total DFS node cap per graph, shared by all of its "
+                        "(edge, length) probes; lengths certified absent by the "
+                        "edge's block spend none; a stopped spectrum lists only "
+                        "confirmed lengths and exits 3")
     p.set_defaults(func=_run_spectrum)
 
     p = sub.add_parser("canon", help="canonical graph6 and hex code for stdin graphs")
@@ -402,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "silently runs the exhaustive walk, with no time estimate")
     p.add_argument("--budget", type=int, default=None,
                    help="one total DFS node cap for thm5/hk-props, P5 spectrum "
-                        "included; a check it stops exits 3; default unlimited")
+                        "included; a check it stops exits 3; the other results "
+                        "reject it; default unlimited")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes for the lemma1, lemma2, erdos and thm6 "
                         "searches (default: PANCYCLIC_WORKERS, else all processors)")

@@ -373,6 +373,82 @@ def min_degree(g: Graph) -> int:
     return min(row.bit_count() for row in g.adj)
 
 
+# -- biconnected blocks ----------------------------------------------------
+
+
+class Block(NamedTuple):
+    """A block (maximal 2-connected subgraph, or a bridge) as its vertex
+    bitmask; the block is the subgraph that mask induces."""
+
+    mask: int
+    bipartite: bool
+
+    @property
+    def order(self) -> int:
+        return self.mask.bit_count()
+
+
+def edge_blocks(g: Graph) -> dict[Edge, Block]:
+    """The block of every edge: Hopcroft & Tarjan's depth-first pass, run on
+    an explicit stack so that no order reaches the recursion limit.
+
+    ``low[v]`` is the least depth that a back edge from v's DFS subtree
+    reaches; a tree edge pw closes the block on top of the edge stack when
+    ``low[w] >= depth[p]``. Within a block the DFS tree edges span it, so
+    the block is bipartite iff each of its edges joins depths of opposite
+    parity.
+    """
+    adj = g.adj
+    depth = [-1] * g.order
+    low = [0] * g.order
+    parent = [-1] * g.order
+    todo = list(adj)  # neighbours not yet scanned, per vertex
+    pending: list[tuple[int, int]] = []  # edges of the blocks still open
+    blocks: dict[Edge, Block] = {}
+    for root in range(g.order):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            rest = todo[v]
+            if rest:
+                bit = rest & -rest
+                todo[v] = rest ^ bit
+                w = bit.bit_length() - 1
+                if depth[w] < 0:
+                    depth[w] = low[w] = depth[v] + 1
+                    parent[w] = v
+                    pending.append((v, w))
+                    stack.append(w)
+                elif depth[w] < depth[v] and w != parent[v]:
+                    low[v] = min(low[v], depth[w])
+                    pending.append((v, w))
+                continue
+            stack.pop()
+            if not stack:
+                break
+            p = stack[-1]
+            if low[v] < depth[p]:
+                low[p] = min(low[p], low[v])
+                continue
+            mask = 0
+            bipartite = True
+            members = []
+            while True:
+                x, y = pending.pop()
+                mask |= (1 << x) | (1 << y)
+                bipartite = bipartite and (depth[x] ^ depth[y]) & 1 == 1
+                members.append(Edge.of(x, y))
+                if x == p and y == v:
+                    break
+            block = Block(mask, bipartite)
+            for e in members:
+                blocks[e] = block
+    return blocks
+
+
 # -- vertex connectivity ---------------------------------------------------
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from pancyclic import (
+    Edge,
     GraphError,
     checks,
     build_graph,
@@ -15,12 +16,15 @@ from pancyclic import (
     cycle,
     cycle_spectrum,
     edge_cycle_lengths,
+    empty,
     enumerate_graphs,
     g_ring,
     has_triangle_cover,
     is_edge_pancyclic,
     is_pancyclic,
     is_vertex_pancyclic,
+    join,
+    path,
     path_length_set,
     q_graph,
     verify_distance_layer_bounds,
@@ -224,11 +228,13 @@ class _CountingProbe:
     def __init__(self, monkeypatch):
         self.calls = 0
         self.nodes = 0
+        self.seen = []  # (a, b, path length) of every call
         self._probe = checks._probe
         monkeypatch.setattr(checks, "_probe", self)
 
     def __call__(self, adj, a, b, length, budget, required=None):
         self.calls += 1
+        self.seen.append((a, b, length))
         return self._probe(adj, a, b, length, _CountingBudget(self, budget), required)
 
 
@@ -276,6 +282,111 @@ def test_block_battery_budget_covers_p5_spectrum(monkeypatch):
     assert rep.verdict is None
     assert rep.evidence["undecided"] == {"property": "P5", "length": 9}
     assert "P4" in rep.evidence and "P5" not in rep.evidence
+
+
+# -- block and parity certificates ---------------------------------------------
+
+
+class _UnmaskedProbes(checks._Probes):
+    """The unpruned engine, the oracle for the block certificates: every
+    cycle probe runs the DFS on the whole graph without the edge."""
+
+    def cycle(self, a, b, length):
+        self.probes += 1
+        return checks._probe(self.g.without_edge(a, b).adj, a, b, length - 1, self.shared)
+
+
+def unmasked(monkeypatch, run):
+    with monkeypatch.context() as m:
+        m.setattr(checks, "_Probes", _UnmaskedProbes)
+        return run()
+
+
+def disjoint(*parts):
+    edges, base = [], 0
+    for g in parts:
+        edges += [(u + base, v + base) for u, v in g.edges()]
+        base += g.order
+    return build_graph(base, edges)
+
+
+def hypercube(d):
+    n = 1 << d
+    return build_graph(n, [(v, v ^ (1 << i)) for v in range(n) for i in range(d) if v < v ^ (1 << i)])
+
+
+K25 = join(empty(2), empty(5))
+K34 = join(empty(3), empty(4))
+TWO_TRIANGLES_BRIDGED = build_graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
+BOWTIE = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+# K4 on 0..3 and C4 on 3..6 share vertex 3: the largest block has order 4 of 7.
+K4_C4 = build_graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                        (3, 4), (4, 5), (5, 6), (3, 6)])
+NAMED = [K25, K34, hypercube(3), cycle(8), TWO_TRIANGLES_BRIDGED, BOWTIE, K4_C4,
+         disjoint(complete(4), complete(4)), disjoint(cycle(5), cycle(5))]
+
+_CHECKS = (
+    lambda g, b: is_edge_pancyclic(g, budget=b, witnesses=True),
+    lambda g, b: is_vertex_pancyclic(g, budget=b),
+    lambda g, b: is_pancyclic(g, budget=b),
+)
+
+
+def test_block_certificates_match_unmasked_probes(monkeypatch):
+    corpus = list(NAMED)
+    for n in range(3, 8):
+        corpus += enumerate_graphs(n, graph_filter=GraphFilter(connectivity=1))
+    assert len(corpus) == len(NAMED) + 2 + 6 + 21 + 112 + 853
+    for g in corpus:
+        assert cycle_spectrum(g) == unmasked(monkeypatch, lambda: cycle_spectrum(g))
+        for check in _CHECKS:
+            full = check(g, None)
+            ref = unmasked(monkeypatch, lambda: check(g, None))
+            assert (full.verdict, full.evidence) == (ref.verdict, ref.evidence)
+            # Every cycle probe of the oracle is a DFS or a certificate here.
+            assert full.stats["probes"] + full.stats["certified"] == ref.stats["probes"]
+            assert ref.stats["certified"] == 0
+            for budget in (5, 40, 300):
+                got = check(g, budget)
+                ref = unmasked(monkeypatch, lambda: check(g, budget))
+                if got.verdict is not None:
+                    assert got.verdict == full.verdict
+                if ref.verdict is not None:  # decided there, decided alike here
+                    assert (got.verdict, got.evidence) == (ref.verdict, ref.evidence)
+                    assert got.stats["budget_left"] >= ref.stats["budget_left"]
+        # A spectrum that the oracle completes within a budget completes here too.
+        for budget in (5, 40, 300):
+            ref = unmasked(monkeypatch, lambda: cycle_spectrum(g, budget=budget))
+            if ref.complete:
+                assert cycle_spectrum(g, budget=budget) == ref
+
+
+def test_certified_lengths_never_reach_the_dfs(monkeypatch):
+    counter = _CountingProbe(monkeypatch)
+    # Cycle lengths that must still be probed, per edge; all others are
+    # certified: odd lengths in a bipartite block, every length through a
+    # bridge, and lengths above the order of the edge's block.
+    cases = [
+        (K34, {e: {4, 6} for e in K34.edges()}),
+        (TWO_TRIANGLES_BRIDGED,
+         {e: set() if e == (2, 3) else {3} for e in TWO_TRIANGLES_BRIDGED.edges()}),
+        (K4_C4, {e: {3, 4} if e.v <= 3 else {4} for e in K4_C4.edges()}),
+    ]
+    for g, probed in cases:
+        start = counter.calls
+        spec = cycle_spectrum(g)
+        assert spec.complete
+        got = sorted((Edge.of(a, b), length + 1) for a, b, length in counter.seen[start:])
+        assert got == sorted((e, p) for e, ps in probed.items() for p in ps)
+        for check in _CHECKS:
+            rep = check(g, None)
+            ref = unmasked(monkeypatch, lambda: check(g, None))
+            assert rep.stats["certified"] > 0
+            assert rep.stats["probes"] + rep.stats["certified"] == ref.stats["probes"]
+    # A path is all bridges: its spectrum needs no DFS at all.
+    start = counter.calls
+    assert cycle_spectrum(path(6), edges=[(0, 1)]).lengths_by_edge == {Edge(0, 1): frozenset()}
+    assert counter.calls == start
 
 
 def test_budget_spectrum_incomplete_flag():

@@ -197,6 +197,29 @@ def test_spectrum_budget_exit(monkeypatch, capsys):
         assert code == 2 and out == "" and "budget" in err, argv
 
 
+def test_unused_budget_is_usage_error(monkeypatch, capsys):
+    # --budget is read only by the probe checks; elsewhere it names the misuse.
+    for predicate in ("triangle-cover", "layer-bounds", "connectivity"):
+        for budget in ("-1", "100"):
+            code, out, err = run_cli(
+                monkeypatch, capsys, ["check", predicate, "--budget", budget], stdin="C~"
+            )
+            assert code == 2 and out == "" and "--budget" in err, predicate
+    for argv in (
+        ["verify", "erdos", "--n", "5", "--budget", "-1"],
+        ["verify", "lemma1", "--n", "6", "--budget", "100"],
+        ["verify", "lemma2", "--n", "6", "--budget", "100"],
+        ["verify", "thm6", "--n", "10", "--budget", "100"],
+    ):
+        code, out, err = run_cli(monkeypatch, capsys, argv)
+        assert code == 2 and out == "" and "--budget" in err, argv
+    child = run_child(
+        [sys.executable, "-m", "pancyclic", "check", "triangle-cover", "--budget", "-1"],
+        stdin="C~\n",
+    )
+    assert child.returncode == 2 and child.stdout == "" and "--budget" in child.stderr
+
+
 def test_canon_matches_module_calls(monkeypatch, capsys):
     code, out, _ = run_cli(monkeypatch, capsys, ["canon"], stdin="DqK\nC~\n")
     assert code == 0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pancyclic import (
     Edge,
+    Graph,
     Graph6Error,
     GraphError,
     build_graph,
@@ -25,6 +26,7 @@ from pancyclic import (
     parse_graph6,
     vertex_connectivity,
 )
+from pancyclic.graphs import Block, edge_blocks
 from conftest import random_graph
 from oracles import connectivity_by_deletion, normalized
 
@@ -239,6 +241,71 @@ def test_is_connected():
     assert not is_connected(build_graph(3, [(0, 1)]))
     with pytest.raises(GraphError):
         diameter(build_graph(3, [(0, 1)]))
+
+
+# -- biconnected blocks ---------------------------------------------------------
+
+
+def networkx_blocks(g) -> dict:
+    nxg = nx.Graph(list(g.edges()))
+    want = {}
+    for comp in nx.biconnected_component_edges(nxg):
+        comp = list(comp)
+        mask = 0
+        for u, v in comp:
+            mask |= (1 << u) | (1 << v)
+        block = Block(mask, nx.is_bipartite(nx.Graph(comp)))
+        for u, v in comp:
+            want[Edge.of(u, v)] = block
+    return want
+
+
+def test_edge_blocks_hand_cases():
+    bowtie = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+    blocks = edge_blocks(bowtie)
+    assert blocks[Edge(0, 1)] == Block(0b00111, False)
+    assert blocks[Edge(3, 4)] == Block(0b11100, False)
+    bridged = build_graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
+    assert edge_blocks(bridged)[Edge(2, 3)] == Block(0b001100, True)
+    assert edge_blocks(bridged)[Edge(2, 3)].order == 2
+    square = edge_blocks(build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+    assert set(square.values()) == {Block(0b1111, True)}
+    assert edge_blocks(build_graph(3, [])) == {}
+    assert set(edge_blocks(petersen()).values()) == {Block((1 << 10) - 1, False)}
+
+
+def test_edge_blocks_against_networkx():
+    rng = random.Random(41)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(0, 14), rng.choice((0.1, 0.2, 0.35, 0.6)))
+        assert edge_blocks(g) == networkx_blocks(g)
+
+
+def test_edge_blocks_need_no_recursion():
+    # Order 3000 runs a DFS deeper than the recursion limit; the 64-vertex
+    # cap of build_graph is bypassed through the trusted constructor.
+    n = 3000
+    rows = [0] * n
+    for i in range(n - 1):
+        rows[i] |= 1 << (i + 1)
+        rows[i + 1] |= 1 << i
+    path = edge_blocks(Graph(n, tuple(rows)))
+    assert len(path) == n - 1
+    for e, block in path.items():
+        assert block == Block((1 << e.u) | (1 << e.v), True) and block.order == 2
+    rows[0] |= 1 << (n - 1)
+    rows[n - 1] |= 1
+    ring = edge_blocks(Graph(n, tuple(rows)))
+    assert len(ring) == n
+    assert set(ring.values()) == {Block((1 << n) - 1, True)}
+    rows = [0] * (n - 1)  # an odd cycle is one block, not bipartite
+    for i in range(n - 1):
+        j = (i + 1) % (n - 1)
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    assert set(edge_blocks(Graph(n - 1, tuple(rows))).values()) == {
+        Block((1 << (n - 1)) - 1, False)
+    }
 
 
 # -- property-based -----------------------------------------------------------
