@@ -32,16 +32,33 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-_CHECK_PREDICATES = (
-    "triangle-cover",
-    "edge-pancyclic",
-    "vertex-pancyclic",
-    "pancyclic",
-    "layer-bounds",
-    "connectivity",
-)
-_BUDGETED_PREDICATES = ("edge-pancyclic", "vertex-pancyclic", "pancyclic")
-_BUDGETED_RESULTS = ("thm5", "hk-props")
+# The options (argparse dests) that each check predicate, verify result and
+# search min-size mode reads. Any other option of the same table, given
+# anyway, is a usage error. --kappa is not listed: it has a default, so a
+# given value cannot be told from it.
+_READS = {
+    "check": {
+        "triangle-cover": (),
+        "edge-pancyclic": ("budget", "witnesses"),
+        "vertex-pancyclic": ("budget",),
+        "pancyclic": ("budget",),
+        "layer-bounds": (),
+        "connectivity": (),
+    },
+    "verify": {
+        "lemma1": ("n", "workers"),
+        "lemma2": ("n", "workers"),
+        "erdos": ("n", "workers"),
+        "thm5": ("k", "budget"),
+        "thm6": ("n", "exhaustive", "workers"),
+        "hk-props": ("k", "budget"),
+    },
+    "search min-size": {
+        "edge-pancyclic": ("workers", "max_classes"),
+        "triangle-cover": ("workers", "max_classes"),
+        "--stream": ("stream",),
+    },
+}
 
 
 def _envelope(command: str, inputs: dict, result: dict, t0: float) -> str:
@@ -73,14 +90,15 @@ def _stdin_graphs() -> Iterator[tuple[int, str, Graph]]:
         raise GraphError("no graph6 input on standard input")
 
 
-def _reject_unused_budget(
-    budget: int | None, command: str, name: str, users: tuple[str, ...]
-) -> None:
-    """A --budget given to a subcommand that never reads it is a usage error."""
-    if budget is not None and name not in users:
-        raise GraphError(
-            f"--budget applies only to {command} {'|'.join(users)}, not to {command} {name}"
-        )
+def _reject_unread(args: argparse.Namespace, command: str, name: str) -> None:
+    """An option given to ``command name`` that it never reads is a usage error."""
+    table = _READS[command]
+    for opt in sorted(set().union(*table.values()) - set(table[name])):
+        given = getattr(args, opt)  # None or False when not given; 0 is given
+        if given is not None and given is not False:
+            raise GraphError(
+                f"--{opt.replace('_', '-')} does not apply to {command} {name}"
+            )
 
 
 def _worst(codes: list[int]) -> int:
@@ -136,7 +154,7 @@ def _check_one(predicate: str, g: Graph, args: argparse.Namespace) -> dict:
 
 
 def _run_check(args: argparse.Namespace) -> int:
-    _reject_unused_budget(args.budget, "check", args.predicate, _BUDGETED_PREDICATES)
+    _reject_unread(args, "check", args.predicate)
     codes = []
     for lineno, line, g in _stdin_graphs():
         t0 = time.monotonic()
@@ -183,6 +201,9 @@ def _outcome_exit(outcome: search.SearchOutcome) -> int:
 
 def _run_search_min_size(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
+    _reject_unread(
+        args, "search min-size", args.predicate if args.stream is None else "--stream"
+    )
     inputs = {"order": args.order, "predicate": args.predicate}
     if args.predicate == "edge-pancyclic":
         if args.stream is not None:
@@ -284,18 +305,15 @@ def _verify_block(k: int, budget: int | None) -> list[dict]:
 def _run_verify(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     name = args.result
-    _reject_unused_budget(args.budget, "verify", name, _BUDGETED_RESULTS)
+    _reject_unread(args, "verify", name)
     inputs: dict = {}
-    if name in ("lemma1", "lemma2", "erdos", "thm6"):
-        if args.n is None:
-            raise GraphError(f"verify {name} needs --n")
-        inputs["n"] = args.n
-    if name in _BUDGETED_RESULTS:
-        if args.k is None:
-            raise GraphError(f"verify {name} needs --k")
-        inputs["k"] = args.k
-        if args.budget is not None:
-            inputs["budget"] = args.budget
+    for opt in ("n", "k"):
+        if opt in _READS["verify"][name]:
+            if getattr(args, opt) is None:
+                raise GraphError(f"verify {name} needs --{opt}")
+            inputs[opt] = getattr(args, opt)
+    if args.budget is not None:
+        inputs["budget"] = args.budget
     if name == "lemma1":
         claims = _verify_lemma1(args.n, args.workers)
     elif name == "lemma2":
@@ -349,9 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_run_construct)
 
     p = sub.add_parser(
-        "check", help="decide a predicate for each graph6 line on stdin"
+        "check", help="decide a predicate for each graph6 line on stdin",
+        description="Decide a predicate for each graph6 line on stdin. "
+                    "--budget or --witnesses given to a predicate that does "
+                    "not read it exits 2 before stdin is read. --kappa is "
+                    "not checked: its default cannot be told from a given value.",
     )
-    p.add_argument("predicate", choices=_CHECK_PREDICATES)
+    p.add_argument("predicate", choices=tuple(_READS["check"]))
     p.add_argument("--budget", type=int, default=None,
                    help="edge-pancyclic, vertex-pancyclic and pancyclic only: "
                         "total DFS node cap per checked graph, shared by all of "
@@ -387,7 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--kappa", type=int, default=2, choices=(1, 2, 3),
                    help="triangle-cover only: required connectivity")
     q.add_argument("--stream", metavar="FILE",
-                   help="graph6 file replacing the built-in generator")
+                   help="graph6 file replacing the built-in generator "
+                        "(edge-pancyclic only); --workers and --max-classes "
+                        "do not apply to it and exit 2")
     q.add_argument("--workers", type=int, default=None)
     q.add_argument("--max-classes", type=int, default=None,
                    help="stop after this many tree nodes (outcome marked non-exhaustive)")
@@ -411,9 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--max-classes", type=int, default=None)
     q.set_defaults(func=_run_search_max_diameter)
 
-    p = sub.add_parser("verify", help="reproduce a named result at given parameters")
-    p.add_argument("result",
-                   choices=("lemma1", "lemma2", "erdos", "thm5", "thm6", "hk-props"))
+    p = sub.add_parser(
+        "verify", help="reproduce a named result at given parameters",
+        description="Reproduce a named result at given parameters. An option "
+                    "that the chosen result does not read (see each option's "
+                    "help) exits 2.",
+    )
+    p.add_argument("result", choices=tuple(_READS["verify"]))
     p.add_argument("--n", type=int, help="order (lemma1, lemma2, erdos, thm6)")
     p.add_argument("--k", type=int, help="parameter (thm5, hk-props)")
     p.add_argument("--exhaustive", action="store_true",
@@ -422,8 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "silently runs the exhaustive walk, with no time estimate")
     p.add_argument("--budget", type=int, default=None,
                    help="one total DFS node cap for thm5/hk-props, P5 spectrum "
-                        "included; a check it stops exits 3; the other results "
-                        "reject it; default unlimited")
+                        "included; a check it stops exits 3; default unlimited")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes for the lemma1, lemma2, erdos and thm6 "
                         "searches (default: PANCYCLIC_WORKERS, else all processors)")

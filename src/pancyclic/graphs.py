@@ -352,19 +352,7 @@ def diameter(g: Graph) -> int:
     """Largest eccentricity; requires a connected graph of order >= 1."""
     if g.order == 0:
         raise GraphError("diameter of the empty graph is undefined")
-    full = (1 << g.order) - 1
-    best = 0
-    for v in range(g.order):
-        masks = _bfs_masks(g.adj, v, full)
-        seen = 0
-        for m in masks:
-            seen |= m
-        if seen != full:
-            missing = full & ~seen
-            w = (missing & -missing).bit_length() - 1
-            raise GraphError(f"graph is disconnected: vertex {w} unreachable from {v}")
-        best = max(best, len(masks) - 1)
-    return best
+    return max(eccentricity(g, v) for v in range(g.order))
 
 
 def min_degree(g: Graph) -> int:

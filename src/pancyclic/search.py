@@ -24,6 +24,9 @@ each survivor, leaving each at least one. Induction then walks every
 covered graph down to the empty graph, so the forward tree reaches all of
 them.
 
+Every covered-tree search is one :class:`_Tree` spec, one walk and one
+:func:`_extremal` reduction; :func:`_leaf_filter` is the one place where
+the degree and connectivity floors that prune the walk are argued.
 Searches ascend size from the theoretical floor for their predicate and
 report per-size class counts, witnesses in canonical graph6 form, and an
 ``exhaustive`` flag. With several workers the tree is expanded
@@ -39,9 +42,9 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import checks
 from .canon import _canonize, canonical_graph
@@ -338,21 +341,34 @@ def _canonical_removal(rows: list[int], act: int, sigma: tuple[int, ...]) -> tup
     return best
 
 
+@dataclass(frozen=True)
+class _Tree:
+    """One covered-universe walk: order ``n``, size cap ``m_hi``, the leaf
+    filter ``keep`` (whose ``min_degree`` also prunes the walk), and the
+    smallest leaf size ``size_lo`` that is counted and filtered."""
+
+    n: int
+    m_hi: int
+    keep: GraphFilter
+    size_lo: int = 0
+
+
 @dataclass
 class _CoveredSurvey:
     """Aggregate of one covered-universe tree walk."""
 
     classes_seen: int = 0
-    exact_order_by_size: dict[int, int] = field(default_factory=dict)
+    exact_order_by_size: Counter = field(default_factory=Counter)
     survivors: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
 
 
 def _covered_children(
-    rows: list[int], act: int, m: int, n: int, m_hi: int, min_deg_final: int
+    rows: list[int], act: int, m: int, tree: _Tree
 ) -> Iterator[tuple[list[int], int, int, tuple[tuple[int, int], ...]]]:
     # All triangle moves: triples over active vertices plus up to 3 fresh
     # ones (fresh = next unused indices; isolated vertices are interchangeable
     # so using the lowest indices loses nothing).
+    n, m_hi, floor = tree.n, tree.m_hi, tree.keep.min_degree
     budget = m_hi - m
     if budget <= 0:
         return
@@ -389,44 +405,40 @@ def _covered_children(
         for a, b in missing:
             child[a] |= 1 << b
             child[b] |= 1 << a
-        if min_deg_final > 0:
-            deficit = min_deg_final * (n - new_act)
+        # Degree bound: each future edge cuts the total deficit below the
+        # leaf filter's degree floor by at most 2.
+        if floor > 0:
+            deficit = floor * (n - new_act)
             for x in range(new_act):
                 d = child[x].bit_count()
-                if d < min_deg_final:
-                    deficit += min_deg_final - d
+                if d < floor:
+                    deficit += floor - d
             if deficit > 2 * (m_hi - new_m):
                 continue
         yield child, new_act, new_m, tuple(missing)
 
 
+_Node = tuple[list[int], int, int, int]  # rows, active vertices, size, canonical code
+
+
 def _walk_covered(
-    rows: list[int],
-    act: int,
-    m: int,
-    code: int,
-    n: int,
-    m_hi: int,
-    min_deg_final: int,
-    survey: _CoveredSurvey,
-    size_lo: int,
-    class_budget: int | None,
-    keep: GraphFilter,
-    frontier: int | None = None,
-) -> list[tuple[list[int], int, int, int]]:
+    tree: _Tree, root: _Node, survey: _CoveredSurvey,
+    class_budget: int | None = None, frontier: int | None = None,
+) -> list[_Node]:
     # Depth-first walk. With ``frontier`` set, the walk is breadth-first
     # instead and stops once that many nodes wait in its queue; the waiting
     # nodes, each with its canonical code, are returned as subtree roots
     # (parallel split points). A tree that ends first returns none.
-    queue: deque[tuple[list[int], int, int, int]] = deque([(rows, act, m, code)])
+    n, keep = tree.n, tree.keep
+    queue: deque[_Node] = deque([root])
     pop = queue.pop if frontier is None else queue.popleft
     while queue and (frontier is None or len(queue) < frontier):
         rows, act, m, code = pop()
         survey.classes_seen += 1
         if class_budget is not None and survey.classes_seen > class_budget:
             raise SearchBudgetExceeded
-        if act == n and m >= size_lo:
-            survey.exact_order_by_size[m] = survey.exact_order_by_size.get(m, 0) + 1
+        if act == n and m >= tree.size_lo:
+            survey.exact_order_by_size[m] += 1
             leaf = Graph(act, tuple(rows))
             if keep.passes(leaf):
                 survey.survivors.append((act, leaf.adj))
@@ -434,9 +446,7 @@ def _walk_covered(
         # child; drop the repeats before canonizing them.
         seen_rows: set[tuple[int, tuple[int, ...]]] = set()
         seen_children: set[tuple[int, int]] = set()
-        for child, new_act, new_m, added in _covered_children(
-            rows, act, m, n, m_hi, min_deg_final
-        ):
+        for child, new_act, new_m, added in _covered_children(rows, act, m, tree):
             key = (new_act, tuple(child))
             if key in seen_rows:
                 continue
@@ -475,14 +485,15 @@ def enumerate_covered_graphs(
     size_lo: int = 0,
 ) -> Iterator[Graph]:
     """Every graph of order exactly ``n`` (no isolated vertices) in which each
-    edge lies in a triangle, with ``size_lo <= size <= max_size``. One
-    canonical representative per isomorphism class."""
-    if n < 3:
-        return
-    survey = _CoveredSurvey()
-    _walk_covered(
-        [], 0, 0, 0, n, max_size, min_deg_final, survey, size_lo, None, GraphFilter()
-    )
+    edge lies in a triangle, with ``size_lo <= size <= max_size`` and minimum
+    degree at least ``min_deg_final``. One canonical representative per
+    isomorphism class.
+
+    ``min_deg_final`` is a floor on every yielded graph; it also prunes the
+    walk. Each edge in a triangle already gives minimum degree 2, so the
+    default of 2 filters nothing."""
+    tree = _Tree(n, max_size, GraphFilter(min_degree=min_deg_final), size_lo)
+    survey, _ = _survey_covered(tree, workers=1)
     for act, rows in survey.survivors:
         yield canonical_graph(Graph(act, rows))
 
@@ -490,28 +501,44 @@ def enumerate_covered_graphs(
 # -- survey plumbing: leaf filters, worker split, deterministic merge --------
 
 
-def _subtree_survey(
-    task: tuple[list[int], int, int, int, int, int, int, int, GraphFilter]
-) -> tuple[int, dict[int, int], list[tuple[int, tuple[int, ...]]]]:
-    rows, act, m, code, n, m_hi, min_deg_final, size_lo, keep = task
-    survey = _CoveredSurvey()
-    _walk_covered(
-        list(rows), act, m, code, n, m_hi, min_deg_final, survey, size_lo, None, keep
+def _leaf_filter(predicate: str, n: int, kappa: int = 0) -> GraphFilter:
+    """The leaf filter of a search for order-``n`` graphs that satisfy
+    ``predicate`` and are ``kappa``-connected.
+
+    Its ``min_degree`` also prunes the tree walk, so each floor here must hold
+    for every graph the search is after:
+
+    * every edge lies in a triangle, so a vertex with an edge has two
+      neighbours: minimum degree >= 2;
+    * an edge-pancyclic graph is Hamiltonian, hence 2-connected; and for
+      n >= 4 it has minimum degree >= 3: if v had only the neighbours a and b,
+      the edge va lies in a triangle, so ab is an edge, and a Hamilton cycle
+      through ab passes v along a-v-b, so it is that triangle and n = 3;
+    * a ``kappa``-connected graph has minimum degree >= ``kappa`` (Whitney).
+    """
+    floor = 2
+    if predicate == "edge-pancyclic":
+        kappa = max(kappa, 2)
+        if n >= 4:
+            floor = 3
+    return GraphFilter(
+        min_degree=max(floor, kappa), connectivity=kappa, predicate=predicate
     )
+
+
+def _subtree_survey(
+    task: tuple[_Tree, _Node]
+) -> tuple[int, Counter, list[tuple[int, tuple[int, ...]]]]:
+    tree, node = task
+    survey = _CoveredSurvey()
+    _walk_covered(tree, node, survey)
     return survey.classes_seen, survey.exact_order_by_size, survey.survivors
 
 
 def _survey_covered(
-    n: int,
-    m_hi: int,
-    min_deg_final: int,
-    keep: GraphFilter,
-    *,
-    size_lo: int = 0,
-    workers: int | None = None,
-    class_budget: int | None = None,
+    tree: _Tree, *, workers: int | None = None, class_budget: int | None = None
 ) -> tuple[_CoveredSurvey, bool]:
-    """Walk the whole covered-universe tree for order ``n``, size <= ``m_hi``.
+    """Walk the whole covered-universe tree of ``tree``.
 
     Returns the survey and a completeness flag (False iff ``class_budget``
     stopped the walk early). Budgeted walks run sequentially so the budget is
@@ -528,31 +555,23 @@ def _survey_covered(
     if class_budget is not None and class_budget < 0:
         raise GraphError(f"class budget must be >= 0, got {class_budget}")
     survey = _CoveredSurvey()
-    if n < 3 or m_hi < 3:
+    if tree.n < 3 or tree.m_hi < 3:
         return survey, True
     nworkers = resolve_workers(workers)
     split = nworkers > 1 and class_budget is None
     try:
         pending = _walk_covered(
-            [], 0, 0, 0, n, m_hi, min_deg_final, survey, size_lo,
-            class_budget, keep,
+            tree, ([], 0, 0, 0), survey, class_budget,
             frontier=_TASKS_PER_WORKER * nworkers if split else None,
         )
     except SearchBudgetExceeded:
         return survey, False
     if pending:
-        tasks = [
-            (rows, act, m, code, n, m_hi, min_deg_final, size_lo, keep)
-            for rows, act, m, code in pending
-        ]
         with multiprocessing.Pool(nworkers) as pool:
-            parts = pool.map(_subtree_survey, tasks)
+            parts = pool.map(_subtree_survey, [(tree, node) for node in pending])
         for seen, by_size, survivors in parts:
             survey.classes_seen += seen
-            for size, cnt in by_size.items():
-                survey.exact_order_by_size[size] = (
-                    survey.exact_order_by_size.get(size, 0) + cnt
-                )
+            survey.exact_order_by_size.update(by_size)
             survey.survivors.extend(survivors)
     return survey, True
 
@@ -565,14 +584,30 @@ def _survivor_graphs(survey: _CoveredSurvey) -> list[Graph]:
     return out
 
 
-def _reverify(graphs: list[Graph], keep: GraphFilter) -> None:
-    # Witnesses are re-verified on their canonical relabeling before emission;
-    # a failure here means the generator and the checker disagree.
+def _extremal(
+    graphs: Iterable[Graph],
+    keep: GraphFilter,
+    key: Callable[[Graph], int],
+    best: Callable[[Iterable[int]], int],
+) -> tuple[int | None, list[str], dict[int, int]]:
+    """Group ``graphs`` by ``key``; return the ``best`` key (``min`` or
+    ``max``), that group's sorted graph6 witnesses and every group's size.
+
+    Witnesses are re-verified against ``keep`` on their canonical relabeling
+    before emission; a failure means the generator and the checker disagree.
+    """
+    groups: dict[int, list[Graph]] = {}
     for g in graphs:
+        groups.setdefault(key(g), []).append(g)
+    sizes = {k: len(v) for k, v in sorted(groups.items())}
+    if not groups:
+        return None, [], sizes
+    value = best(groups)
+    group = sorted(groups[value], key=emit_graph6)
+    for g in group:
         if not keep.passes(g):
-            raise GraphError(
-                f"witness failed re-verification: {emit_graph6(g)}"
-            )
+            raise GraphError(f"witness failed re-verification: {emit_graph6(g)}")
+    return value, [emit_graph6(g) for g in group], sizes
 
 
 # -- the extremal searches ---------------------------------------------------
@@ -583,7 +618,6 @@ def _ascend_min_size(
     n: int,
     start_hi: int,
     floor: int,
-    min_deg_final: int,
     keep: GraphFilter,
     workers: int | None,
     class_budget: int | None,
@@ -600,26 +634,18 @@ def _ascend_min_size(
     tree_nodes = 0
     while True:
         survey, complete = _survey_covered(
-            n, m_hi, min_deg_final, keep,
-            workers=workers, class_budget=class_budget,
+            _Tree(n, m_hi, keep), workers=workers, class_budget=class_budget
         )
         tree_nodes += survey.classes_seen
         passing = _survivor_graphs(survey)
-        by_size: dict[int, list[Graph]] = {}
-        for g in passing:
-            by_size.setdefault(g.size, []).append(g)
+        value, witnesses, by_size = _extremal(passing, keep, lambda g: g.size, min)
         counts = {
             "floor": floor,
             "size_cap": m_hi,
             "tree_nodes": tree_nodes,
             "explored_by_size": dict(sorted(survey.exact_order_by_size.items())),
-            "passing_by_size": {k: len(v) for k, v in sorted(by_size.items())},
+            "passing_by_size": by_size,
         }
-        value = min(by_size) if by_size else None
-        witnesses: list[str] = []
-        if value is not None:
-            _reverify(by_size[value], keep)
-            witnesses = [emit_graph6(g) for g in by_size[value]]
         if not complete:
             return SearchOutcome(
                 objective, n, value, witnesses, False, counts, notes=BUDGET_NOTE
@@ -634,31 +660,6 @@ def _ascend_min_size(
         m_hi += 1
 
 
-def _min_size_stream(
-    objective: str, n: int, stream: Iterable[str], keep: GraphFilter
-) -> SearchOutcome:
-    by_size: dict[int, list[Graph]] = {}
-    total = 0
-    for g in _filter_stream(n, stream, None, None):
-        total += 1
-        if keep.passes(g):
-            by_size.setdefault(g.size, []).append(g)
-    value = min(by_size) if by_size else None
-    witnesses: list[str] = []
-    if value is not None:
-        group = sorted(by_size[value], key=emit_graph6)
-        _reverify(group, keep)
-        witnesses = [emit_graph6(g) for g in group]
-    counts = {
-        "stream_classes": total,
-        "passing_by_size": {k: len(v) for k, v in sorted(by_size.items())},
-    }
-    return SearchOutcome(
-        objective, n, value, witnesses, False, counts,
-        notes="stream mode: coverage of the search space is the stream producer's claim",
-    )
-
-
 def min_size_edge_pancyclic(
     n: int,
     *,
@@ -668,25 +669,32 @@ def min_size_edge_pancyclic(
 ) -> SearchOutcome:
     """Minimum size of an edge-pancyclic graph of order ``n``, all witnesses.
 
-    Every edge-pancyclic graph has each edge in a triangle, is 2-connected,
-    and (for n >= 4) has minimum degree 3, so the covered-universe tree with
-    those leaf filters is a complete search space.
+    Every edge-pancyclic graph has each edge in a triangle, so the
+    covered-universe tree, with the floors of :func:`_leaf_filter`, is a
+    complete search space.
     """
     objective = "min-size edge-pancyclic"
-    keep = GraphFilter(min_degree=3, connectivity=2, predicate="edge-pancyclic")
+    keep = _leaf_filter("edge-pancyclic", n)
     if stream is not None:
-        return _min_size_stream(objective, n, stream, keep)
+        classes, passing = 0, []
+        for classes, g in enumerate(_filter_stream(n, stream, None, None), start=1):
+            if keep.passes(g):
+                passing.append(g)
+        value, witnesses, by_size = _extremal(passing, keep, lambda g: g.size, min)
+        counts = {"stream_classes": classes, "passing_by_size": by_size}
+        return SearchOutcome(
+            objective, n, value, witnesses, False, counts,
+            notes="stream mode: coverage of the search space is the stream producer's claim",
+        )
     if not 4 <= n <= _BUILTIN_MAX_ORDER:
         raise GraphError(
             f"built-in search supports 4 <= n <= {_BUILTIN_MAX_ORDER}; "
             f"supply a graph6 stream for larger orders"
         )
-    floor = -(-3 * n // 2)
     return _ascend_min_size(
         objective, n,
         start_hi=2 * n - 2,
-        floor=floor,
-        min_deg_final=3,
+        floor=-(-3 * n // 2),
         keep=keep,
         workers=workers,
         class_budget=class_budget,
@@ -718,16 +726,11 @@ def min_size_triangle_cover(
             f"{_TC_MIN_ORDER[kappa]} <= n <= {_BUILTIN_MAX_ORDER}"
         )
     floor = _TC_FLOOR[kappa](n)
-    min_deg_final = 3 if kappa == 3 else 2
-    keep = GraphFilter(
-        min_degree=min_deg_final, connectivity=kappa, predicate="triangle-cover"
-    )
     return _ascend_min_size(
         f"min-size triangle-cover kappa={kappa}", n,
         start_hi=floor,
         floor=floor,
-        min_deg_final=min_deg_final,
-        keep=keep,
+        keep=_leaf_filter("triangle-cover", n, kappa),
         workers=workers,
         class_budget=class_budget,
     )
@@ -765,23 +768,21 @@ def max_diameter_edge_pancyclic(
         raise GraphError("maximum-diameter search needs order at least 3")
     objective = "max-diameter edge-pancyclic"
     target = 2 * n // 5
+    keep = _leaf_filter("edge-pancyclic", n)
     if mode == "auto":
         mode = "exhaustive" if n <= 8 else "witness"
     if mode == "witness":
         g, name = _diameter_witness(n)
         if g is not None:
-            rep = checks.is_edge_pancyclic(g)
-            if rep.verdict is not True:
-                raise GraphError(f"{name} witness failed re-verification")
-            d = diameter(g)
+            d, witnesses, _ = _extremal([canonical_graph(g)], keep, diameter, max)
             if d != target:
                 raise GraphError(
                     f"{name} witness has diameter {d}, expected {target}"
                 )
-            counts = {"target": target, "witness_family": name}
             return SearchOutcome(
-                objective, n, d, [emit_graph6(canonical_graph(g))], False,
-                counts, notes="witness construction; upper bound not searched",
+                objective, n, d, witnesses, False,
+                {"target": target, "witness_family": name},
+                notes="witness construction; upper bound not searched",
             )
         mode = "exhaustive"
     if not 3 <= n <= 9:
@@ -789,29 +790,16 @@ def max_diameter_edge_pancyclic(
             "exhaustive diameter search supports 3 <= n <= 9; "
             "use witness mode for larger orders"
         )
-    min_deg_final = 3 if n >= 4 else 2
-    keep = GraphFilter(
-        min_degree=min_deg_final, connectivity=2, predicate="edge-pancyclic"
-    )
     survey, complete = _survey_covered(
-        n, n * (n - 1) // 2, min_deg_final, keep,
-        workers=workers, class_budget=class_budget,
+        _Tree(n, n * (n - 1) // 2, keep), workers=workers, class_budget=class_budget
     )
     passing = _survivor_graphs(survey)
-    by_diameter: dict[int, list[Graph]] = {}
-    for g in passing:
-        by_diameter.setdefault(diameter(g), []).append(g)
-    value = max(by_diameter) if by_diameter else None
-    witnesses: list[str] = []
-    if value is not None:
-        group = sorted(by_diameter[value], key=emit_graph6)
-        _reverify(group, keep)
-        witnesses = [emit_graph6(g) for g in group]
+    value, witnesses, by_diameter = _extremal(passing, keep, diameter, max)
     counts = {
         "target": target,
         "tree_nodes": survey.classes_seen,
         "edge_pancyclic_total": len(passing),
-        "by_diameter": {k: len(v) for k, v in sorted(by_diameter.items())},
+        "by_diameter": by_diameter,
     }
     return SearchOutcome(
         objective, n, value, witnesses, complete, counts,
@@ -835,22 +823,9 @@ def extremal_census(
     if not 3 <= n <= _BUILTIN_MAX_ORDER:
         raise GraphError(f"census supports 3 <= n <= {_BUILTIN_MAX_ORDER}")
     max_size = n * (n - 1) // 2
-    m_hi = max_size if size is None else size
-    if not 0 <= m_hi <= max_size:
+    lo, hi = (0, max_size) if size is None else (size, size)
+    if not 0 <= hi <= max_size:
         raise GraphError(f"size {size} out of range for order {n}")
-    if predicate == "edge-pancyclic":
-        min_deg_final = 3 if n >= 4 else 2
-    else:
-        min_deg_final = 3 if kappa >= 3 else 2
-    keep = GraphFilter(
-        min_degree=min_deg_final, connectivity=kappa, predicate=predicate
-    )
-    survey, _ = _survey_covered(
-        n, m_hi, min_deg_final, keep,
-        size_lo=0 if size is None else size,
-        workers=workers,
-    )
-    out = _survivor_graphs(survey)
-    if size is not None:
-        out = [g for g in out if g.size == size]
-    return out
+    tree = _Tree(n, hi, _leaf_filter(predicate, n, kappa), size_lo=lo)
+    survey, _ = _survey_covered(tree, workers=workers)
+    return _survivor_graphs(survey)

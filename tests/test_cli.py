@@ -197,22 +197,40 @@ def test_spectrum_budget_exit(monkeypatch, capsys):
         assert code == 2 and out == "" and "budget" in err, argv
 
 
-def test_unused_budget_is_usage_error(monkeypatch, capsys):
-    # --budget is read only by the probe checks; elsewhere it names the misuse.
+def test_unread_option_is_usage_error(monkeypatch, capsys, tmp_path):
+    # An option the chosen command never reads names the misuse and exits 2
+    # before any input is read or any search runs.
     for predicate in ("triangle-cover", "layer-bounds", "connectivity"):
         for budget in ("-1", "100"):
             code, out, err = run_cli(
                 monkeypatch, capsys, ["check", predicate, "--budget", budget], stdin="C~"
             )
             assert code == 2 and out == "" and "--budget" in err, predicate
-    for argv in (
-        ["verify", "erdos", "--n", "5", "--budget", "-1"],
-        ["verify", "lemma1", "--n", "6", "--budget", "100"],
-        ["verify", "lemma2", "--n", "6", "--budget", "100"],
-        ["verify", "thm6", "--n", "10", "--budget", "100"],
+    for predicate in ("vertex-pancyclic", "pancyclic", "triangle-cover"):
+        code, out, err = run_cli(
+            monkeypatch, capsys, ["check", predicate, "--witnesses"], stdin="C~"
+        )
+        assert code == 2 and out == "" and "--witnesses" in err, predicate
+    stream = tmp_path / "order6.g6"
+    stream.write_text("E~~w\n")
+    for argv, option in (
+        (["verify", "erdos", "--n", "5", "--budget", "-1"], "--budget"),
+        (["verify", "lemma1", "--n", "6", "--budget", "100"], "--budget"),
+        (["verify", "lemma2", "--n", "6", "--budget", "100"], "--budget"),
+        (["verify", "thm6", "--n", "10", "--budget", "100"], "--budget"),
+        (["verify", "hk-props", "--k", "3", "--n", "7", "--workers", "0", "--exhaustive"],
+         "--exhaustive"),
+        (["verify", "hk-props", "--k", "3", "--workers", "0"], "--workers"),
+        (["verify", "thm5", "--k", "3", "--n", "7"], "--n"),
+        (["verify", "lemma1", "--n", "6", "--k", "9", "--exhaustive"], "--exhaustive"),
+        (["verify", "lemma1", "--n", "6", "--k", "9"], "--k"),
+        (["search", "min-size", "--order", "6", "--predicate", "edge-pancyclic",
+          "--stream", str(stream), "--max-classes", "-5"], "--max-classes"),
+        (["search", "min-size", "--order", "6", "--predicate", "edge-pancyclic",
+          "--stream", str(stream), "--workers", "0"], "--workers"),
     ):
         code, out, err = run_cli(monkeypatch, capsys, argv)
-        assert code == 2 and out == "" and "--budget" in err, argv
+        assert code == 2 and out == "" and option in err, argv
     child = run_child(
         [sys.executable, "-m", "pancyclic", "check", "triangle-cover", "--budget", "-1"],
         stdin="C~\n",

@@ -338,3 +338,7 @@ def test_whitney_inequality(g):
 def test_diameter_is_max_eccentricity(g):
     if g.order >= 1 and is_connected(g):
         assert diameter(g) == max(eccentricity(g, v) for v in range(g.order))
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(g.order))
+        nxg.add_edges_from(g.edges())
+        assert diameter(g) == nx.diameter(nxg)  # an oracle outside the module

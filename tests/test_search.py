@@ -107,6 +107,18 @@ def test_covered_generator_against_edge_generator():
                 and has_triangle_cover(g).verdict
             }
             assert via_triangles == via_edges
+    # min_deg_final is a floor on every yielded graph.
+    for n in (5, 6, 7):
+        floored = {
+            canonical_code(g).bits
+            for g in enumerate_covered_graphs(n, n * (n - 1) // 2, min_deg_final=3)
+        }
+        via_edges = {
+            canonical_code(g).bits
+            for g in enumerate_graphs(n)
+            if g.size > 0 and min(g.degrees()) >= 3 and has_triangle_cover(g).verdict
+        }
+        assert floored == via_edges, n
 
 
 def test_covered_generator_respects_size_cap():
@@ -230,6 +242,32 @@ def test_class_budget_marks_outcome_non_exhaustive():
         min_size_triangle_cover(9, 2, class_budget=-2)
 
 
+def test_witnesses_are_reverified(monkeypatch):
+    # The predicate passes the first time it sees each isomorphism class and
+    # fails every later time, so only the re-verification of the extreme
+    # group can catch it.
+    holds = search._predicate_holds
+    seen: set = set()
+
+    def first_call_only(name, g):
+        code = canonical_code(g)
+        if code in seen:
+            return False
+        seen.add(code)
+        return holds(name, g)
+
+    monkeypatch.setattr(search, "_predicate_holds", first_call_only)
+    witnesses = [emit_graph6(canonical_graph(wheel(6)))]
+    for run in (
+        lambda: min_size_edge_pancyclic(6, workers=1),
+        lambda: max_diameter_edge_pancyclic(5, mode="exhaustive", workers=1),
+        lambda: min_size_edge_pancyclic(6, stream=iter(witnesses)),
+    ):
+        seen.clear()
+        with pytest.raises(GraphError, match="re-verification"):
+            run()
+
+
 def test_stream_search_mode():
     witnesses = min_size_edge_pancyclic(6).witnesses
     out = min_size_edge_pancyclic(6, stream=iter(witnesses + ["E|fG"]))
@@ -239,6 +277,8 @@ def test_stream_search_mode():
     with pytest.raises(GraphError) as e:
         min_size_edge_pancyclic(6, stream=iter(["C~"]))
     assert "line 1" in str(e.value)
+    # The triangle is edge-pancyclic: the degree-3 floor starts at order 4.
+    assert min_size_edge_pancyclic(3, stream=iter(["Bw"])).witnesses == ["Bw"]
 
 
 def test_outcome_serialization():
