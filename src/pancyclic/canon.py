@@ -11,6 +11,30 @@ codes iff they are isomorphic.
 Automorphisms discovered when two branches reach the same leaf code are
 used to skip equivalent branches, which keeps highly symmetric graphs
 (empty, complete, unions of equal components) from exploding the search.
+
+Two bookkeeping devices make this cheaper without changing which nodes
+are visited, in which order, or what each node computes, so every code
+and every labeling is the same as with the plain loops:
+
+* Stable splitters. Refinement scans the cells in order and splits by the
+  first cell mask S under which some cell has vertices with different
+  neighbour counts in S, then rescans. Once S has been tried, every cell
+  is uniform with respect to S (either it was already, or the split just
+  made it so). Refinement and individualization only ever split cells,
+  and a subset of a uniform cell is uniform, so S can never split again
+  in this node or below it. Such masks go into a ``stable`` set and are
+  skipped without a scan; a child starts from its parent's set. Skipping
+  a mask that would split nothing leaves the sequence of splits, and
+  hence the partition, exactly as the full rescan would. For the same
+  reason a rescan resumes at the first cell not yet known to be stable:
+  the cells before it are the ones the full rescan would pass over.
+* Orbit cache. A vertex of the target cell is skipped when an
+  automorphism fixing the individualized prefix pointwise maps it to a
+  vertex already tried there. Each node keeps one union-find of the
+  orbits of such automorphisms and adds only the generators found since
+  its last check. Orbits of a set of permutations do not depend on the
+  order in which they are merged, so each check answers exactly as a
+  union-find rebuilt from all generators would.
 """
 
 from __future__ import annotations
@@ -31,40 +55,68 @@ class CanonicalCode:
         return self.bits.hex()
 
 
-def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
-    # Equitable refinement to a fixpoint: repeatedly split every cell by the
-    # count of neighbours in every cell. Deterministic: splitter order is the
-    # current cell order, subcells sorted by count descending.
-    changed = True
-    while changed:
-        changed = False
-        masks = [0] * len(cells)
-        for i, cell in enumerate(cells):
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            masks[i] = m
-        for smask in masks:
-            out = []
-            split = False
-            for cell in cells:
-                if len(cell) == 1:
-                    out.append(cell)
-                    continue
-                groups: dict[int, list[int]] = {}
-                for v in cell:
-                    groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
-                if len(groups) == 1:
-                    out.append(cell)
-                else:
-                    split = True
+def _mask(cell: list[int]) -> int:
+    m = 0
+    for v in cell:
+        m |= 1 << v
+    return m
+
+
+def _first_split(adj: tuple[int, ...], cells: list[list[int]], multi: list[int], smask: int) -> int:
+    # Index of the first cell (among the non-singletons ``multi``) whose
+    # vertices differ in their number of neighbours in ``smask``; -1 if none.
+    for j in multi:
+        cell = cells[j]
+        c0 = (adj[cell[0]] & smask).bit_count()
+        for v in cell:
+            if (adj[v] & smask).bit_count() != c0:
+                return j
+    return -1
+
+
+def _refine(
+    adj: tuple[int, ...], cells: list[list[int]], masks: list[int], stable: set[int],
+    start: int,
+) -> tuple[list[list[int]], list[int], list[int]]:
+    # Equitable refinement to a fixpoint. Scan the cells in order; the first
+    # cell whose vertex mask splits some cell by neighbour count splits every
+    # cell it can (subcells sorted by count descending), then the scan
+    # restarts from the first cell. Masks in ``stable`` split nothing and are
+    # skipped, and every cell before ``start`` is stable (see the module
+    # docstring). ``masks`` runs parallel to ``cells``; ``stable`` is updated
+    # in place. Returns the cells, their masks and the non-singleton indices.
+    while True:
+        multi = [j for j, cell in enumerate(cells) if len(cell) > 1]
+        if not multi:
+            return cells, masks, multi
+        for i in range(start, len(cells)):
+            smask = masks[i]
+            if smask not in stable:
+                stable.add(smask)
+                j = _first_split(adj, cells, multi, smask)
+                if j >= 0:
+                    break
+        else:
+            return cells, masks, multi
+        # Split every cell from ``j`` on. Every cell before ``j`` and up to
+        # ``i`` is stable, so the restart from the first cell resumes at the
+        # smaller of the two.
+        out, out_masks = cells[:j], masks[:j]
+        for cell, mask in zip(cells[j:], masks[j:]):
+            if len(cell) > 1:
+                counts = [(adj[v] & smask).bit_count() for v in cell]
+                if counts.count(counts[0]) != len(counts):
+                    groups: dict[int, list[int]] = {}
+                    for v, c in zip(cell, counts):
+                        groups.setdefault(c, []).append(v)
                     for key in sorted(groups, reverse=True):
-                        out.append(groups[key])
-            cells = out
-            if split:
-                changed = True
-                break
-    return cells
+                        sub = groups[key]
+                        out.append(sub)
+                        out_masks.append(_mask(sub))
+                    continue
+            out.append(cell)
+            out_masks.append(mask)
+        cells, masks, start = out, out_masks, min(i + 1, j)
 
 
 def _perm_code(adj: tuple[int, ...], perm: list[int]) -> int:
@@ -80,7 +132,7 @@ def _perm_code(adj: tuple[int, ...], perm: list[int]) -> int:
 
 class _Canonizer:
     __slots__ = ("adj", "n", "degs", "best_code", "best_perm", "first_code",
-                 "first_perm", "gens")
+                 "first_perm", "gens", "gen_set")
 
     def __init__(self, g: Graph):
         self.adj = g.adj
@@ -90,14 +142,15 @@ class _Canonizer:
         self.best_perm: list[int] | None = None
         self.first_code: int | None = None
         self.first_perm: list[int] | None = None
-        self.gens: list[list[int]] = []
+        self.gens: list[tuple[int, list[tuple[int, int]]]] = []
+        self.gen_set: set[tuple[int, ...]] = set()
 
     def run(self) -> None:
         if self.n == 0:
             self.best_code = 0
             self.best_perm = []
             return
-        self._node([list(range(self.n))], [])
+        self._node([list(range(self.n))], [(1 << self.n) - 1], set(), 0, 0)
 
     def _leaf(self, cells: list[list[int]]) -> None:
         perm = [c[0] for c in cells]
@@ -115,62 +168,81 @@ class _Canonizer:
 
     def _record_aut(self, pa: list[int], pb: list[int]) -> None:
         # Both labelings produce the identical matrix, so pa[i] -> pb[i]
-        # is an automorphism. Keep it if it is new and not the identity.
+        # is an automorphism. Keep it if it is new and not the identity,
+        # as its support mask and its moved points.
+        if pa == pb:
+            return
         gamma = [0] * self.n
-        ident = True
         for i in range(self.n):
             gamma[pa[i]] = pb[i]
-            if pa[i] != pb[i]:
-                ident = False
-        if not ident and gamma not in self.gens:
-            self.gens.append(gamma)
+        key = tuple(gamma)
+        if key not in self.gen_set:
+            self.gen_set.add(key)
+            moves = [(a, b) for a, b in enumerate(gamma) if a != b]
+            support = 0
+            for a, _ in moves:
+                support |= 1 << a
+            self.gens.append((support, moves))
 
-    def _node(self, cells: list[list[int]], fixed: list[int]) -> None:
-        cells = _refine(self.adj, cells)
-        target = -1
-        target_deg = -1
-        for i, cell in enumerate(cells):
-            if len(cell) > 1:
-                d = self.degs[cell[0]]
-                if d > target_deg:
-                    target = i
-                    target_deg = d
-        if target < 0:
+    def _node(
+        self, cells: list[list[int]], masks: list[int], stable: set[int], fixed: int,
+        start: int,
+    ) -> None:
+        cells, masks, multi = _refine(self.adj, cells, masks, stable, start)
+        if not multi:
             self._leaf(cells)
             return
+        degs = self.degs
+        target = multi[0]
+        target_deg = degs[cells[target][0]]
+        for i in multi:
+            d = degs[cells[i][0]]
+            if d > target_deg:
+                target = i
+                target_deg = d
         cell = cells[target]
+        tmask = masks[target]
+        stable.discard(tmask)
+        head, tail = cells[:target], cells[target + 1:]
+        mhead, mtail = masks[:target], masks[target + 1:]
+        # Orbits of the automorphisms found so far that fix the vertices in
+        # ``fixed`` pointwise, as a union-find grown by the generators added
+        # since the last check (None until one such generator exists).
+        parent: list[int] | None = None
+        seen = 0
+        gens = self.gens
         tried: list[int] = []
         for v in cell:
-            if tried and self._in_tried_orbit(v, tried, fixed):
-                continue
+            if tried:
+                for support, moves in gens[seen:]:
+                    if not support & fixed:
+                        if parent is None:
+                            parent = list(range(self.n))
+                        for a, b in moves:
+                            a, b = _find(parent, a), _find(parent, b)
+                            if a != b:
+                                parent[a] = b
+                seen = len(gens)
+                if parent is not None:
+                    rv = _find(parent, v)
+                    if any(_find(parent, u) == rv for u in tried):
+                        continue
             tried.append(v)
-            rest = [w for w in cell if w != v]
-            child = cells[:target] + [[v], rest] + cells[target + 1:]
-            fixed.append(v)
-            self._node(child, fixed)
-            fixed.pop()
+            bit = 1 << v
+            self._node(
+                head + [[v], [w for w in cell if w != v]] + tail,
+                mhead + [bit, tmask ^ bit] + mtail,
+                stable.copy(),
+                fixed | bit,
+                target,
+            )
 
-    def _in_tried_orbit(self, v: int, tried: list[int], fixed: list[int]) -> bool:
-        # Union orbits of all stored automorphisms that fix the individualized
-        # prefix pointwise; skip v when an already tried vertex is in its orbit.
-        useful = [g for g in self.gens if all(g[f] == f for f in fixed)]
-        if not useful:
-            return False
-        parent = list(range(self.n))
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in useful:
-            for a in range(self.n):
-                ra, rb = find(a), find(g[a])
-                if ra != rb:
-                    parent[ra] = rb
-        rv = find(v)
-        return any(find(u) == rv for u in tried)
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def _canonize(g: Graph) -> tuple[int, list[int]]:

@@ -39,7 +39,6 @@ so the outcome is identical for any worker count.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 from collections import Counter, deque
@@ -255,23 +254,6 @@ def _filter_stream(
 # -- covered universe: canonical augmentation by triangle moves -------------
 
 
-def _triangles(rows: list[int], act: int) -> list[tuple[int, int, int]]:
-    out = []
-    for u in range(act):
-        ru = rows[u]
-        for v in range(u + 1, act):
-            if not (ru >> v) & 1:
-                continue
-            w_mask = (ru & rows[v]) >> (v + 1)
-            w = v + 1
-            while w_mask:
-                if w_mask & 1:
-                    out.append((u, v, w))
-                w_mask >>= 1
-                w += 1
-    return out
-
-
 def _covered_after_removal(rows: list[int], removed: tuple[tuple[int, int], ...]) -> bool:
     # Only edges incident to an endpoint of a removed edge can lose coverage.
     tmp = rows[:]
@@ -310,35 +292,65 @@ def _compact(rows: list[int], act: int) -> tuple[int, tuple[int, ...]]:
     return len(keep), tuple(out)
 
 
-_TRI_SUBSETS = tuple(
-    tuple(pairsel)
-    for k in (1, 2, 3)
-    for pairsel in itertools.combinations((0, 1, 2), k)
-)
-
-
 def _canonical_removal(rows: list[int], act: int, sigma: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    # Among all nonempty removable edge subsets inside one triangle, pick the
-    # one whose relabeled pair list is lexicographically smallest.
-    best_key = None
-    best: tuple[tuple[int, int], ...] | None = None
-    for u, v, w in _triangles(rows, act):
-        tri = ((u, v), (u, w), (v, w))
-        for sel in _TRI_SUBSETS:
-            cand = tuple(tri[i] for i in sel)
-            key = tuple(
-                sorted(
-                    (sigma[a], sigma[b]) if sigma[a] < sigma[b] else (sigma[b], sigma[a])
-                    for a, b in cand
-                )
-            )
-            if best_key is not None and key >= best_key:
-                continue
+    """The canonical removal: of the nonempty edge sets inside one triangle
+    whose removal leaves every edge in a triangle, the one with the smallest
+    key, as ``(a, b)`` pairs with ``a < b`` in sorted order (the orientation
+    of the added edges that the walk compares it with).
+
+    A set's key is the sorted tuple of its relabeled pairs
+    ``(min(sigma[a], sigma[b]), max(sigma[a], sigma[b]))``; sigma is a
+    bijection, so distinct sets have distinct keys. Candidates are produced
+    in ascending key order and the first removable one is returned, so it is
+    the minimum. Every candidate has a smallest edge ``e``, and its other
+    edges lie in a triangle with ``e`` and have larger keys. Keys that start
+    with ``e`` sort before those that start with any later edge; among them
+    ``(e,)`` comes first, and for each second edge ``f`` in key order
+    ``(e, f)`` precedes every ``(e, f, g)``, which precede ``(e, f')`` for
+    ``f' > f``. So ``e`` in key order, then ``{e}``, then the pairs and
+    triples through ``e`` sorted by key, is every candidate in ascending
+    order.
+    """
+    keyed = []
+    for a in range(act):
+        ra, sa = rows[a], sigma[a]
+        for b in range(a + 1, act):
+            if (ra >> b) & 1:
+                sb = sigma[b]
+                keyed.append(((sa, sb) if sa < sb else (sb, sa), a, b))
+    keyed.sort()
+    for ke, a, b in keyed:
+        common = rows[a] & rows[b]
+        if not common:
+            continue
+        e = ((a, b),)
+        if _covered_after_removal(rows, e):
+            return e
+        sa, sb = sigma[a], sigma[b]
+        # For each third vertex c: the other two edges of triangle abc whose
+        # keys exceed ke, as the sets {e, f} and {e, f, g}, keyed without e.
+        cands = []
+        while common:
+            low = common & -common
+            c = low.bit_length() - 1
+            common ^= low
+            sc = sigma[c]
+            ka = (sa, sc) if sa < sc else (sc, sa)
+            kb = (sb, sc) if sb < sc else (sc, sb)
+            fa = (a, c) if a < c else (c, a)
+            fb = (b, c) if b < c else (c, b)
+            if ka > ke:
+                cands.append(((ka,), (fa,)))
+            if kb > ke:
+                cands.append(((kb,), (fb,)))
+                if ka > ke:
+                    cands.append(((ka, kb) if ka < kb else (kb, ka), (fa, fb)))
+        cands.sort()
+        for _, rest in cands:
+            cand = tuple(sorted(e + rest))
             if _covered_after_removal(rows, cand):
-                best_key = key
-                best = cand
-    assert best is not None, "every nonempty covered graph has a removable subset"
-    return best
+                return cand
+    raise AssertionError("every nonempty covered graph has a removable subset")
 
 
 @dataclass(frozen=True)
@@ -535,6 +547,11 @@ def _subtree_survey(
     return survey.classes_seen, survey.exact_order_by_size, survey.survivors
 
 
+def _check_class_budget(class_budget: int | None) -> None:
+    if class_budget is not None and class_budget < 0:
+        raise GraphError(f"class budget must be >= 0, got {class_budget}")
+
+
 def _survey_covered(
     tree: _Tree, *, workers: int | None = None, class_budget: int | None = None
 ) -> tuple[_CoveredSurvey, bool]:
@@ -552,8 +569,7 @@ def _survey_covered(
     below it partition the tree, and each isomorphism class lives in exactly
     one tree node, so merging is plain summation with no dedup.
     """
-    if class_budget is not None and class_budget < 0:
-        raise GraphError(f"class budget must be >= 0, got {class_budget}")
+    _check_class_budget(class_budget)
     survey = _CoveredSurvey()
     if tree.n < 3 or tree.m_hi < 3:
         return survey, True
@@ -766,6 +782,9 @@ def max_diameter_edge_pancyclic(
         raise GraphError(f"unknown mode {mode!r}")
     if n < 3:
         raise GraphError("maximum-diameter search needs order at least 3")
+    # Checked before the mode branch, so a bad value fails in every mode.
+    _check_class_budget(class_budget)
+    resolve_workers(workers)
     objective = "max-diameter edge-pancyclic"
     target = 2 * n // 5
     keep = _leaf_filter("edge-pancyclic", n)

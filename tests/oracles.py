@@ -175,3 +175,131 @@ def iter_labeled_graphs(n: int):
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         yield n, tuple(p for i, p in enumerate(pairs) if (mask >> i) & 1)
+
+
+def canonical_removal(n: int, edges, sigma) -> frozenset[tuple[int, int]]:
+    """The parent move of a covered graph, by exhaustion: over every triangle
+    and every nonempty subset of its edges whose removal leaves each
+    remaining edge in a triangle, the subset whose sorted list of relabeled
+    pairs (``sigma[v]`` is the new label of ``v``) is smallest."""
+    es = normalized(edges)
+    triangles = [
+        t for t in itertools.combinations(range(n), 3)
+        if {(t[0], t[1]), (t[0], t[2]), (t[1], t[2])} <= es
+    ]
+
+    def covered(rest: set[tuple[int, int]]) -> bool:
+        return all(
+            any((min(u, w), max(u, w)) in rest and (min(v, w), max(v, w)) in rest
+                for w in range(n) if w not in (u, v))
+            for u, v in rest
+        )
+
+    def key(subset) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(
+            (min(sigma[u], sigma[v]), max(sigma[u], sigma[v])) for u, v in subset
+        ))
+
+    best = None
+    for a, b, c in triangles:
+        tri = ((a, b), (a, c), (b, c))
+        for k in (1, 2, 3):
+            for subset in itertools.combinations(tri, k):
+                if covered(es - set(subset)) and (best is None or key(subset) < key(best)):
+                    best = subset
+    assert best is not None, "a nonempty covered graph has a removable subset"
+    return frozenset(best)
+
+
+def reference_canonize(n: int, edges) -> tuple[int, list[int]]:
+    """Canonical (code, labeling) by the plain loops the library's
+    canonizer must match exactly: refinement that rebuilds every cell mask
+    and rescans from the first cell after each split, and an orbit test
+    that rebuilds a union-find from every stored automorphism fixing the
+    individualized prefix. ``labeling[pos]`` is the vertex placed at
+    ``pos``; ``code`` packs the relabeled upper triangle column by column."""
+    adj = [0] * n
+    for u, v in normalized(edges):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    degs = [row.bit_count() for row in adj]
+    state = {"best": None, "first": None}
+    gens: list[list[int]] = []
+
+    def refine(cells):
+        changed = True
+        while changed:
+            changed = False
+            for smask in [sum(1 << v for v in cell) for cell in cells]:
+                out, split = [], False
+                for cell in cells:
+                    groups: dict[int, list[int]] = {}
+                    for v in cell:
+                        groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
+                    split |= len(groups) > 1
+                    out += [groups[k] for k in sorted(groups, reverse=True)]
+                cells = out
+                if split:
+                    changed = True
+                    break
+        return cells
+
+    def code_of(perm):
+        code = 0
+        for j in range(1, n):
+            for i in range(j):
+                code = (code << 1) | ((adj[perm[j]] >> perm[i]) & 1)
+        return code
+
+    def record(pa, pb):
+        gamma = [0] * n
+        for a, b in zip(pa, pb):
+            gamma[a] = b
+        if gamma != list(range(n)) and gamma not in gens:
+            gens.append(gamma)
+
+    def in_tried_orbit(v, tried, fixed):
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for g in gens:
+            if all(g[f] == f for f in fixed):
+                for a in range(n):
+                    ra, rb = find(a), find(g[a])
+                    if ra != rb:
+                        parent[ra] = rb
+        return any(find(u) == find(v) for u in tried)
+
+    def node(cells, fixed):
+        cells = refine(cells)
+        multi = [i for i, cell in enumerate(cells) if len(cell) > 1]
+        if not multi:
+            perm = [cell[0] for cell in cells]
+            code = code_of(perm)
+            if state["first"] is None:
+                state["first"] = (code, perm)
+            elif code == state["first"][0]:
+                record(state["first"][1], perm)
+            if state["best"] is None or code < state["best"][0]:
+                state["best"] = (code, perm)
+            elif code == state["best"][0] and perm != state["best"][1]:
+                record(state["best"][1], perm)
+            return
+        # First non-singleton cell of largest degree.
+        target = max(multi, key=lambda i: (degs[cells[i][0]], -i))
+        tried: list[int] = []
+        for v in cells[target]:
+            if tried and in_tried_orbit(v, tried, fixed):
+                continue
+            tried.append(v)
+            rest = [w for w in cells[target] if w != v]
+            node(cells[:target] + [[v], rest] + cells[target + 1:], fixed + [v])
+
+    if n == 0:
+        return 0, []
+    node([list(range(n))], [])
+    return state["best"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import networkx as nx
@@ -14,14 +15,20 @@ from pancyclic import (
     canonical_code,
     canonical_graph,
     canonical_labeling,
+    complete,
+    cycle,
     emit_graph6,
+    empty,
+    join,
 )
+from pancyclic.canon import _canonize
 from conftest import random_graph
 from oracles import (
     burnside_class_count,
     iter_labeled_graphs,
     normalized,
     perm_isomorphic,
+    reference_canonize,
 )
 from test_graphs import graphs, petersen
 
@@ -132,17 +139,94 @@ def test_code_orders_differ():
     assert not are_isomorphic(g1, g2)
 
 
-def test_symmetric_worst_cases_complete_quickly():
-    # Highly symmetric graphs exercise the orbit pruning.
-    n = 12
-    e12 = build_graph(n, [])
-    k12 = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-    k66 = build_graph(12, [(u, v) for u in range(6) for v in range(6, 12)])
-    assert canonical_code(e12).order == 12
-    assert canonical_code(k12).order == 12
-    assert canonical_code(k66) == canonical_code(
-        k66.relabel(tuple(reversed(range(12))))
+def _union(g, copies: int):
+    n = g.order
+    return build_graph(
+        n * copies, [(u + i * n, v + i * n) for i in range(copies) for u, v in g.edges()]
     )
+
+
+def _circulant(n: int, jumps: tuple[int, ...]):
+    return build_graph(
+        n, sorted({(min(i, (i + j) % n), max(i, (i + j) % n)) for i in range(n) for j in jumps})
+    )
+
+
+def _cube(d: int):
+    n = 1 << d
+    return build_graph(
+        n, [(u, u ^ (1 << b)) for u in range(n) for b in range(d) if u < u ^ (1 << b)]
+    )
+
+
+def _symmetric_corpus():
+    # Symmetric worst cases from the perfbench batch stream (K6,6, Q4,
+    # unions of equal components, its circulants) and the Petersen graph.
+    return [
+        join(empty(6), empty(6)),
+        _cube(4),
+        _union(complete(4), 3),
+        _union(complete(7), 2),
+        _union(cycle(7), 2),
+        _circulant(10, (1, 2)),
+        _circulant(11, (1, 2)),
+        _circulant(12, (1, 4)),
+        _circulant(13, (1, 5)),
+        _circulant(14, (1, 2, 4)),
+        petersen(),
+    ]
+
+
+def test_symmetric_worst_cases_complete_quickly():
+    # Highly symmetric graphs exercise the orbit pruning; each code must
+    # survive a relabeling.
+    rng = random.Random(12)
+    cases = [complete(14), empty(14), *_symmetric_corpus()]
+    for g in cases:
+        code = canonical_code(g)
+        assert code.order == g.order
+        assert canonical_code(shuffled(rng, g)) == code
+        assert canonical_code(g.relabel(tuple(reversed(range(g.order))))) == code
+
+
+def test_canonize_matches_reference_loops():
+    # Skipping stable splitters and caching orbits must leave the search
+    # tree, and so the code and the labeling, exactly as the plain loops.
+    rng = random.Random(13)
+    cases = [random_graph(rng, rng.randint(0, 11), rng.random()) for _ in range(300)]
+    cases += [complete(10), empty(10), *_symmetric_corpus()]
+    for g in cases:
+        code, perm = _canonize(g)
+        assert (code, perm) == reference_canonize(g.order, g.edges()), g.edges()
+
+
+# SHA-256 of every (code, labeling) over _frozen_corpus(). Canonical codes
+# and labelings are exchanged between runs, so a change to canon that moves
+# this digest changes the canonical form.
+FROZEN_CORPUS_SHA256 = "11feeab758681bae15210e094346b5dd8bada396260f46640c1ba19917e4c6bc"
+
+
+def _frozen_corpus():
+    rng = random.Random(7)
+    out = []
+    for n in range(1, 15):
+        for p in (0.15, 0.3, 0.5, 0.7):
+            g = random_graph(rng, n, p)
+            out += [g, shuffled(rng, g)]
+        out += [complete(n), empty(n)]
+    for g in _symmetric_corpus():
+        out += [g, shuffled(rng, g)]
+    return out
+
+
+def test_canonical_labeling_frozen_corpus():
+    digest = hashlib.sha256()
+    corpus = _frozen_corpus()
+    assert len(corpus) == 162
+    for g in corpus:
+        lab = ",".join(map(str, canonical_labeling(g)))
+        digest.update(f"{g.order}:{canonical_code(g).hex()}:{lab}\n".encode())
+    assert digest.hexdigest() == FROZEN_CORPUS_SHA256
 
 
 @settings(max_examples=150, deadline=None)

@@ -238,6 +238,20 @@ def test_unread_option_is_usage_error(monkeypatch, capsys, tmp_path):
     assert child.returncode == 2 and child.stdout == "" and "--budget" in child.stderr
 
 
+def test_bad_budget_or_workers_fail_in_witness_mode(monkeypatch, capsys):
+    # search max-diameter reads --max-classes and --workers in every mode, so
+    # a bad value is a usage error even where the witness needs no walk.
+    for extra, message in (
+        (["--max-classes", "-5"], "class budget"),
+        (["--workers", "0"], "worker count"),
+        (["--max-classes", "-5", "--workers", "0"], "class budget"),
+    ):
+        for mode in (["--witness"], []):
+            argv = ["search", "max-diameter", "--order", "10", *mode, *extra]
+            code, out, err = run_cli(monkeypatch, capsys, argv)
+            assert code == 2 and out == "" and message in err, argv
+
+
 def test_canon_matches_module_calls(monkeypatch, capsys):
     code, out, _ = run_cli(monkeypatch, capsys, ["canon"], stdin="DqK\nC~\n")
     assert code == 0

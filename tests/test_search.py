@@ -34,7 +34,7 @@ from pancyclic import (
 )
 from pancyclic import search
 from pancyclic.search import WORKERS_ENV
-from oracles import iter_labeled_graphs
+from oracles import canonical_removal, iter_labeled_graphs
 
 CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044)  # graphs on 1..7 vertices
 
@@ -139,6 +139,30 @@ def test_planted_graphs_are_reached():
         canonical_code(g) == target
         for g in enumerate_covered_graphs(8, 14, min_deg_final=3)
     )
+
+
+def test_canonical_removal_matches_brute_force():
+    # The key-order scan returns exactly the smallest removable subset that
+    # the exhaustive triangle x subset oracle finds, for any relabeling.
+    rng = random.Random(11)
+    sizes = set()
+    for _ in range(300):
+        n = rng.randint(4, 10)
+        rows = [0] * n
+        for _ in range(rng.randint(1, 2 * n)):
+            tri = rng.sample(range(n), 3)
+            for a in tri:
+                for b in tri:
+                    if a != b:
+                        rows[a] |= 1 << b
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (rows[u] >> v) & 1]
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        got = search._canonical_removal(rows, n, tuple(sigma))
+        assert all(a < b for a, b in got) and list(got) == sorted(got)
+        assert frozenset(got) == canonical_removal(n, edges, sigma), (n, edges, sigma)
+        sizes.add(len(got))
+    assert sizes == {1, 2, 3}
 
 
 # -- minimum-size searches -------------------------------------------------------
@@ -337,6 +361,14 @@ def test_max_diameter_witness_mode():
         max_diameter_edge_pancyclic(2)
     with pytest.raises(GraphError):
         max_diameter_edge_pancyclic(10, mode="exhaustive")
+
+
+def test_max_diameter_rejects_bad_budget_and_workers_in_every_mode():
+    for mode in ("auto", "witness", "exhaustive"):
+        with pytest.raises(GraphError, match="class budget"):
+            max_diameter_edge_pancyclic(10, mode=mode, class_budget=-5)
+        with pytest.raises(GraphError, match="worker count"):
+            max_diameter_edge_pancyclic(10, mode=mode, workers=0)
 
 
 def test_resolve_workers(monkeypatch):
