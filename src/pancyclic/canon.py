@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, graph6_from_bits
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,11 @@ class CanonicalCode:
 
     def hex(self) -> str:
         return self.bits.hex()
+
+    def graph6(self) -> str:
+        """The canonical graph's graph6 string: the code's bits are its body,
+        zero-padded at the front instead of at the end."""
+        return graph6_from_bits(self.order, int.from_bytes(self.bits, "big"))
 
 
 def _mask(cell: list[int]) -> int:

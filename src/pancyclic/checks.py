@@ -51,6 +51,7 @@ from .graphs import (
     is_connected,
     is_k_connected,
     min_degree,
+    vertex_connectivity,
 )
 
 
@@ -506,6 +507,41 @@ def verify_distance_layer_bounds(g: Graph) -> CheckReport:
         evidence=results,
         stats={},
     )
+
+
+def check_connectivity(g: Graph, *, kappa: int = 1) -> CheckReport:
+    """Whether ``g`` is ``kappa``-connected; the evidence carries its vertex
+    connectivity."""
+    if kappa < 0:
+        raise GraphError(f"kappa must be >= 0, got {kappa}")
+    found = vertex_connectivity(g)
+    return CheckReport(
+        predicate="connectivity",
+        verdict=found >= kappa,
+        evidence={"kappa": found, "required": kappa},
+        stats={},
+    )
+
+
+# Each check predicate by name, with the keyword options its check reads; an
+# option left out takes the check's own default. A check is held by name and
+# looked up in this module when it runs, so a wrapper set on the module
+# attribute is what runs.
+PREDICATES: dict[str, tuple[str, tuple[str, ...]]] = {
+    "triangle-cover": ("has_triangle_cover", ()),
+    "edge-pancyclic": ("is_edge_pancyclic", ("budget", "witnesses")),
+    "vertex-pancyclic": ("is_vertex_pancyclic", ("budget",)),
+    "pancyclic": ("is_pancyclic", ("budget",)),
+    "layer-bounds": ("verify_distance_layer_bounds", ()),
+    "connectivity": ("check_connectivity", ("kappa",)),
+}
+
+
+def check(predicate: str, g: Graph, **options) -> CheckReport:
+    """Run the check that :data:`PREDICATES` names ``predicate`` on ``g``."""
+    if predicate not in PREDICATES:
+        raise GraphError(f"unknown predicate {predicate!r}")
+    return globals()[PREDICATES[predicate][0]](g, **options)
 
 
 def verify_h_block_properties(k: int, *, budget: int | None = None) -> CheckReport:

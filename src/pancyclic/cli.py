@@ -24,41 +24,12 @@ from .graphs import (
     emit_dot,
     emit_graph6,
     parse_graph6,
-    vertex_connectivity,
 )
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-# The options (argparse dests) that each check predicate, verify result and
-# search min-size mode reads. Any other option of the same table, given
-# anyway, is a usage error. --kappa is not listed: it has a default, so a
-# given value cannot be told from it.
-_READS = {
-    "check": {
-        "triangle-cover": (),
-        "edge-pancyclic": ("budget", "witnesses"),
-        "vertex-pancyclic": ("budget",),
-        "pancyclic": ("budget",),
-        "layer-bounds": (),
-        "connectivity": (),
-    },
-    "verify": {
-        "lemma1": ("n", "workers"),
-        "lemma2": ("n", "workers"),
-        "erdos": ("n", "workers"),
-        "thm5": ("k", "budget"),
-        "thm6": ("n", "exhaustive", "workers"),
-        "hk-props": ("k", "budget"),
-    },
-    "search min-size": {
-        "edge-pancyclic": ("workers", "max_classes"),
-        "triangle-cover": ("workers", "max_classes"),
-        "--stream": ("stream",),
-    },
-}
 
 
 def _envelope(command: str, inputs: dict, result: dict, t0: float) -> str:
@@ -90,15 +61,24 @@ def _stdin_graphs() -> Iterator[tuple[int, str, Graph]]:
         raise GraphError("no graph6 input on standard input")
 
 
-def _reject_unread(args: argparse.Namespace, command: str, name: str) -> None:
-    """An option given to ``command name`` that it never reads is a usage error."""
-    table = _READS[command]
-    for opt in sorted(set().union(*table.values()) - set(table[name])):
-        given = getattr(args, opt)  # None or False when not given; 0 is given
-        if given is not None and given is not False:
+def _options(args: argparse.Namespace, command: str, name: str, table: dict) -> dict:
+    """The options that row ``name`` of ``table`` reads and that were given.
+
+    Each row of a table is (runner, the argparse dests of the options it
+    reads); the caller passes the runner exactly these options, so an absent
+    one takes the runner's own default. An option that only other rows read,
+    given to ``command name``, is a usage error, raised before any input is
+    read.
+    """
+    if name not in table:
+        raise GraphError(f"{command}: unknown name {name!r}")
+    reads = table[name][1]
+    for opt in sorted({opt for _, opts in table.values() for opt in opts} - set(reads)):
+        if getattr(args, opt) is not None:
             raise GraphError(
                 f"--{opt.replace('_', '-')} does not apply to {command} {name}"
             )
+    return {opt: getattr(args, opt) for opt in reads if getattr(args, opt) is not None}
 
 
 def _worst(codes: list[int]) -> int:
@@ -112,53 +92,24 @@ def _worst(codes: list[int]) -> int:
 
 
 def _run_construct(args: argparse.Namespace) -> int:
-    spec = families.FamilySpec(
-        family=args.family.replace("_", "-"),
-        n=args.n,
-        k=args.k,
-        kind=args.kind,
-        parts=tuple(args.parts) if args.parts else None,
-    )
-    g, labels = spec.build()
-    if args.format == "graph6":
-        print(emit_graph6(g))
-    else:
+    family = args.family.replace("_", "-")
+    options = _options(args, "construct", family, families.FAMILIES)
+    g, labels = families.FamilySpec(family, **options).build()
+    if args.format == "dot":
         print(emit_dot(g), end="")
+    else:
+        print(emit_graph6(g))
     if args.labels:
         print(json.dumps(labels or {}, sort_keys=True))
     return EXIT_TRUE
 
 
-def _check_one(predicate: str, g: Graph, args: argparse.Namespace) -> dict:
-    if predicate == "triangle-cover":
-        return checks.has_triangle_cover(g).to_json_dict()
-    if predicate == "edge-pancyclic":
-        return checks.is_edge_pancyclic(
-            g, budget=args.budget, witnesses=args.witnesses
-        ).to_json_dict()
-    if predicate == "vertex-pancyclic":
-        return checks.is_vertex_pancyclic(g, budget=args.budget).to_json_dict()
-    if predicate == "pancyclic":
-        return checks.is_pancyclic(g, budget=args.budget).to_json_dict()
-    if predicate == "layer-bounds":
-        return checks.verify_distance_layer_bounds(g).to_json_dict()
-    if predicate == "connectivity":
-        kappa = vertex_connectivity(g)
-        return checks.CheckReport(
-            predicate="connectivity",
-            verdict=kappa >= args.kappa,
-            evidence={"kappa": kappa, "required": args.kappa},
-            stats={},
-        ).to_json_dict()
-    raise GraphError(f"unknown predicate {predicate!r}")
-
-
 def _run_check(args: argparse.Namespace) -> int:
-    _reject_unread(args, "check", args.predicate)
+    options = _options(args, "check", args.predicate, checks.PREDICATES)
     codes = []
     for lineno, line, g in _stdin_graphs():
         t0 = time.monotonic()
-        result = _check_one(args.predicate, g, args)
+        result = checks.check(args.predicate, g, **options).to_json_dict()
         inputs = {"line": lineno, "graph6": line, "predicate": args.predicate}
         if args.budget is not None:
             inputs["budget"] = args.budget
@@ -187,10 +138,8 @@ def _run_spectrum(args: argparse.Namespace) -> int:
 def _run_canon(args: argparse.Namespace) -> int:
     for lineno, line, g in _stdin_graphs():
         t0 = time.monotonic()
-        result = {
-            "graph6": emit_graph6(canonical_graph(g)),
-            "code_hex": canonical_code(g).hex(),
-        }
+        code = canonical_code(g)
+        result = {"graph6": code.graph6(), "code_hex": code.hex()}
         print(_envelope("canon", {"line": lineno, "graph6": line}, result, t0))
     return EXIT_TRUE
 
@@ -199,29 +148,51 @@ def _outcome_exit(outcome: search.SearchOutcome) -> int:
     return EXIT_BUDGET if outcome.notes == search.BUDGET_NOTE else EXIT_TRUE
 
 
+# The search min-size modes: each runner takes the order plus the options it
+# reads, and returns the inputs it records next to the outcome.
+
+
+def _min_size_edge_pancyclic(
+    order: int, workers: int | None = None, max_classes: int | None = None
+) -> tuple[dict, search.SearchOutcome]:
+    return {}, search.min_size_edge_pancyclic(
+        order, workers=workers, class_budget=max_classes
+    )
+
+
+def _min_size_triangle_cover(
+    order: int, kappa: int = 2, workers: int | None = None,
+    max_classes: int | None = None,
+) -> tuple[dict, search.SearchOutcome]:
+    return {"kappa": kappa}, search.min_size_triangle_cover(
+        order, kappa, workers=workers, class_budget=max_classes
+    )
+
+
+def _min_size_stream(order: int, stream: str) -> tuple[dict, search.SearchOutcome]:
+    try:
+        with open(stream, encoding="ascii") as fh:
+            return {"stream": stream}, search.min_size_edge_pancyclic(order, stream=fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphError(f"cannot read stream file {stream}: {exc}") from exc
+
+
+_MIN_SIZE = {
+    "edge-pancyclic": (_min_size_edge_pancyclic, ("workers", "max_classes")),
+    "triangle-cover": (_min_size_triangle_cover, ("kappa", "workers", "max_classes")),
+    "--stream": (_min_size_stream, ("stream",)),
+}
+
+
 def _run_search_min_size(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    _reject_unread(
-        args, "search min-size", args.predicate if args.stream is None else "--stream"
-    )
-    inputs = {"order": args.order, "predicate": args.predicate}
-    if args.predicate == "edge-pancyclic":
-        if args.stream is not None:
-            with open(args.stream, encoding="ascii") as fh:
-                outcome = search.min_size_edge_pancyclic(args.order, stream=fh)
-            inputs["stream"] = args.stream
-        else:
-            outcome = search.min_size_edge_pancyclic(
-                args.order, workers=args.workers, class_budget=args.max_classes
-            )
-    else:
-        if args.stream is not None:
-            raise GraphError("stream mode is only wired to the edge-pancyclic search")
-        inputs["kappa"] = args.kappa
-        outcome = search.min_size_triangle_cover(
-            args.order, args.kappa,
-            workers=args.workers, class_budget=args.max_classes,
-        )
+    # --stream selects the stream mode of the edge-pancyclic search; the
+    # triangle-cover search does not read it.
+    streamed = args.stream is not None and args.predicate == "edge-pancyclic"
+    name = "--stream" if streamed else args.predicate
+    options = _options(args, "search min-size", name, _MIN_SIZE)
+    inputs, outcome = _MIN_SIZE[name][0](args.order, **options)
+    inputs.update(order=args.order, predicate=args.predicate)
     print(_envelope("search min-size", inputs, outcome.to_json_dict(), t0))
     return _outcome_exit(outcome)
 
@@ -239,6 +210,9 @@ def _run_search_max_diameter(args: argparse.Namespace) -> int:
 
 
 # -- verify: thin compositions over families / checks / search ---------------
+#
+# Each runner takes the options its result reads and returns the inputs it
+# records (None values dropped) next to its claims.
 
 
 def _claim(name: str, expected, actual) -> dict:
@@ -246,7 +220,7 @@ def _claim(name: str, expected, actual) -> dict:
             "pass": expected == actual}
 
 
-def _verify_lemma1(n: int, workers: int | None) -> list[dict]:
+def _verify_lemma1(n: int, workers: int | None = None) -> tuple[dict, list[dict]]:
     outcome = search.min_size_triangle_cover(n, 2, workers=workers)
     claims = [_claim("minimum size", -(-3 * n // 2), outcome.value)]
     if n >= 8 and n % 2 == 0:
@@ -258,40 +232,44 @@ def _verify_lemma1(n: int, workers: int | None) -> list[dict]:
             for kind in "FGH"
         )
         claims.append(_claim("extremal census", expected, outcome.witnesses))
-    return claims
+    return {"n": n}, claims
 
 
-def _verify_lemma2(n: int, workers: int | None) -> list[dict]:
+def _verify_lemma2(n: int, workers: int | None = None) -> tuple[dict, list[dict]]:
     outcome = search.min_size_triangle_cover(n, 3, workers=workers)
     expected = [emit_graph6(canonical_graph(families.wheel(n)))]
-    return [
+    return {"n": n}, [
         _claim("minimum size", 2 * n - 2, outcome.value),
         _claim("extremal census", expected, outcome.witnesses),
     ]
 
 
-def _verify_erdos(n: int, workers: int | None) -> list[dict]:
+def _verify_erdos(n: int, workers: int | None = None) -> tuple[dict, list[dict]]:
     outcome = search.min_size_triangle_cover(n, 1, workers=workers)
-    return [_claim("minimum size", (3 * n - 2) // 2, outcome.value)]
+    return {"n": n}, [_claim("minimum size", (3 * n - 2) // 2, outcome.value)]
 
 
-def _verify_ring(k: int, budget: int | None) -> list[dict]:
+def _verify_ring(k: int, budget: int | None = None) -> tuple[dict, list[dict]]:
     g = families.g_ring(k).graph
     rep = checks.is_edge_pancyclic(g, budget=budget)
-    return [
+    return {"k": k, "budget": budget}, [
         _claim("order", 13 * k, g.order),
         _claim("size", 2 * (13 * k) - k, g.size),
         _claim("edge-pancyclic", True, rep.verdict),
     ]
 
 
-def _verify_diameter(n: int, exhaustive: bool, workers: int | None) -> list[dict]:
+def _verify_diameter(
+    n: int, exhaustive: bool = False, workers: int | None = None
+) -> tuple[dict, list[dict]]:
     mode = "exhaustive" if exhaustive else "auto"
     outcome = search.max_diameter_edge_pancyclic(n, mode=mode, workers=workers)
-    return [_claim("maximum diameter", 2 * n // 5, outcome.value)]
+    return {"n": n, "exhaustive": exhaustive}, [
+        _claim("maximum diameter", 2 * n // 5, outcome.value)
+    ]
 
 
-def _verify_block(k: int, budget: int | None) -> list[dict]:
+def _verify_block(k: int, budget: int | None = None) -> tuple[dict, list[dict]]:
     rep = checks.verify_h_block_properties(k, budget=budget)
     claims = [_claim("all six properties", True, rep.verdict)]
     spectrum = rep.evidence.get("P5", {}).get("exact_spectrum")
@@ -299,34 +277,29 @@ def _verify_block(k: int, budget: int | None) -> list[dict]:
         claims.append(
             _claim("centre edge exact spectrum", list(range(3, 3 * k)), spectrum)
         )
-    return claims
+    return {"k": k, "budget": budget}, claims
+
+
+_VERIFY = {
+    "lemma1": (_verify_lemma1, ("n", "workers")),
+    "lemma2": (_verify_lemma2, ("n", "workers")),
+    "erdos": (_verify_erdos, ("n", "workers")),
+    "thm5": (_verify_ring, ("k", "budget")),
+    "thm6": (_verify_diameter, ("n", "exhaustive", "workers")),
+    "hk-props": (_verify_block, ("k", "budget")),
+}
 
 
 def _run_verify(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     name = args.result
-    _reject_unread(args, "verify", name)
-    inputs: dict = {}
+    options = _options(args, "verify", name, _VERIFY)
+    run, reads = _VERIFY[name]
     for opt in ("n", "k"):
-        if opt in _READS["verify"][name]:
-            if getattr(args, opt) is None:
-                raise GraphError(f"verify {name} needs --{opt}")
-            inputs[opt] = getattr(args, opt)
-    if args.budget is not None:
-        inputs["budget"] = args.budget
-    if name == "lemma1":
-        claims = _verify_lemma1(args.n, args.workers)
-    elif name == "lemma2":
-        claims = _verify_lemma2(args.n, args.workers)
-    elif name == "erdos":
-        claims = _verify_erdos(args.n, args.workers)
-    elif name == "thm5":
-        claims = _verify_ring(args.k, args.budget)
-    elif name == "thm6":
-        inputs["exhaustive"] = args.exhaustive
-        claims = _verify_diameter(args.n, args.exhaustive, args.workers)
-    else:
-        claims = _verify_block(args.k, args.budget)
+        if opt in reads and opt not in options:
+            raise GraphError(f"verify {name} needs --{opt}")
+    recorded, claims = run(**options)
+    inputs = {k: v for k, v in recorded.items() if v is not None}
     result = {"claims": claims, "pass": all(c["pass"] for c in claims)}
     print(_envelope("verify", {"result": name, **inputs}, result, t0))
     # A check that the budget stopped reports its verdict claim as None.
@@ -361,35 +334,35 @@ def build_parser() -> argparse.ArgumentParser:
                    help="odd-extremal variant")
     p.add_argument("--parts", nargs="+", metavar="TOKEN",
                    help="join parts, e.g. K1 C5 E2")
-    p.add_argument("--format", choices=("graph6", "dot"), default="graph6")
-    p.add_argument("--labels", action="store_true",
+    p.add_argument("--format", choices=("graph6", "dot"))
+    p.add_argument("--labels", action="store_true", default=None,
                    help="also print the JSON label map")
     p.set_defaults(func=_run_construct)
 
     p = sub.add_parser(
         "check", help="decide a predicate for each graph6 line on stdin",
-        description="Decide a predicate for each graph6 line on stdin. "
-                    "--budget or --witnesses given to a predicate that does "
-                    "not read it exits 2 before stdin is read. --kappa is "
-                    "not checked: its default cannot be told from a given value.",
+        description="Decide a predicate for each graph6 line on stdin. An "
+                    "option that the chosen predicate does not read (see each "
+                    "option's help) exits 2 before stdin is read.",
     )
-    p.add_argument("predicate", choices=tuple(_READS["check"]))
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("predicate", choices=tuple(checks.PREDICATES))
+    p.add_argument("--budget", type=int,
                    help="edge-pancyclic, vertex-pancyclic and pancyclic only: "
                         "total DFS node cap per checked graph, shared by all of "
                         "its (edge, length) probes; lengths certified absent by "
                         "the edge's block spend none, and stats.probes counts "
                         "DFS probes only; default unlimited")
-    p.add_argument("--witnesses", action="store_true",
+    p.add_argument("--witnesses", action="store_true", default=None,
                    help="edge-pancyclic only: include one cycle per (edge, length)")
-    p.add_argument("--kappa", type=int, default=1,
-                   help="connectivity only: required lower bound (default 1)")
+    p.add_argument("--kappa", type=int,
+                   help="connectivity only: required lower bound on the vertex "
+                        "connectivity, at least 0 (default 1)")
     p.set_defaults(func=_run_check)
 
     p = sub.add_parser(
         "spectrum", help="per-edge cycle length sets for stdin graphs"
     )
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=int,
                    help="total DFS node cap per graph, shared by all of its "
                         "(edge, length) probes; lengths certified absent by the "
                         "edge's block spend none; a stopped spectrum lists only "
@@ -406,14 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--order", type=int, required=True)
     q.add_argument("--predicate", required=True,
                    choices=("edge-pancyclic", "triangle-cover"))
-    q.add_argument("--kappa", type=int, default=2, choices=(1, 2, 3),
-                   help="triangle-cover only: required connectivity")
+    q.add_argument("--kappa", type=int, choices=(1, 2, 3),
+                   help="triangle-cover only: required connectivity (default 2)")
     q.add_argument("--stream", metavar="FILE",
                    help="graph6 file replacing the built-in generator "
-                        "(edge-pancyclic only); --workers and --max-classes "
-                        "do not apply to it and exit 2")
-    q.add_argument("--workers", type=int, default=None)
-    q.add_argument("--max-classes", type=int, default=None,
+                        "(edge-pancyclic only); --kappa, --workers and "
+                        "--max-classes do not apply to it and exit 2, and so "
+                        "does a file that cannot be read as ASCII")
+    q.add_argument("--workers", type=int)
+    q.add_argument("--max-classes", type=int,
                    help="stop after this many tree nodes (outcome marked non-exhaustive)")
     q.set_defaults(func=_run_search_min_size)
 
@@ -427,12 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument("--order", type=int, required=True)
     mode = q.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true",
+    mode.add_argument("--exhaustive", action="store_true", default=None,
                       help="full census (order <= 9)")
-    mode.add_argument("--witness", action="store_true",
+    mode.add_argument("--witness", action="store_true", default=None,
                       help="constructed witness only")
-    q.add_argument("--workers", type=int, default=None)
-    q.add_argument("--max-classes", type=int, default=None)
+    q.add_argument("--workers", type=int)
+    q.add_argument("--max-classes", type=int)
     q.set_defaults(func=_run_search_max_diameter)
 
     p = sub.add_parser(
@@ -441,17 +415,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "that the chosen result does not read (see each option's "
                     "help) exits 2.",
     )
-    p.add_argument("result", choices=tuple(_READS["verify"]))
+    p.add_argument("result", choices=tuple(_VERIFY))
     p.add_argument("--n", type=int, help="order (lemma1, lemma2, erdos, thm6)")
     p.add_argument("--k", type=int, help="parameter (thm5, hk-props)")
-    p.add_argument("--exhaustive", action="store_true",
+    p.add_argument("--exhaustive", action="store_true", default=None,
                    help="thm6: search instead of constructing a witness; "
                         "without it, order 9 has no constructed witness and "
                         "silently runs the exhaustive walk, with no time estimate")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=int,
                    help="one total DFS node cap for thm5/hk-props, P5 spectrum "
                         "included; a check it stops exits 3; default unlimited")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=int,
                    help="worker processes for the lemma1, lemma2, erdos and thm6 "
                         "searches (default: PANCYCLIC_WORKERS, else all processors)")
     p.set_defaults(func=_run_verify)

@@ -10,7 +10,7 @@ Vertex numbering inside each constructor is fixed and documented inline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .graphs import Edge, Graph, GraphError, MAX_ORDER, build_graph
 
@@ -265,80 +265,56 @@ def part_from_token(token: str) -> Graph:
     return _BASIC_TOKENS[token[0].upper()](order)
 
 
+def _join_parts(parts: Sequence[str]) -> Graph:
+    """Join of the graphs of exactly two part tokens."""
+    if len(parts) != 2:
+        raise GraphError("family 'join' needs exactly two --parts tokens")
+    return join(*(part_from_token(t) for t in parts))
+
+
+def _sequential_join_parts(parts: Sequence[str]) -> Graph:
+    """Sequential join of the graphs of the part tokens, in order."""
+    return sequential_join([part_from_token(t) for t in parts])
+
+
+# Each family by name, with its constructor and the options it reads, all of
+# them required. A constructor is held by name and looked up in this module
+# when it runs, so a wrapper set on the module attribute is what runs.
+FAMILIES: dict[str, tuple[str, tuple[str, ...]]] = {
+    "cycle": ("cycle", ("n",)),
+    "path": ("path", ("n",)),
+    "complete": ("complete", ("n",)),
+    "empty": ("empty", ("n",)),
+    "wheel": ("wheel", ("n",)),
+    "fan": ("fan", ("n",)),
+    "even-extremal": ("a_graph", ("n",)),
+    "odd-extremal": ("odd_extremal", ("kind", "n")),
+    "h-block": ("h_block", ("k",)),
+    "g-ring": ("g_ring", ("k",)),
+    "q-diameter": ("q_graph", ("n",)),
+    "join": ("_join_parts", ("parts",)),
+    "seq-join": ("_sequential_join_parts", ("parts",)),
+}
+FAMILY_NAMES = tuple(FAMILIES)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family name plus its parameters; ``build`` dispatches to the
+    """A family name plus its parameters; ``build`` calls the family's
     constructor and normalizes the (graph, labels) shape."""
 
     family: str
     n: int | None = None
     k: int | None = None
     kind: str | None = None
-    parts: tuple[str, ...] | None = None
+    parts: Sequence[str] | None = None
 
     def build(self) -> tuple[Graph, dict[str, int] | None]:
-        fam = self.family
-
-        def need_n() -> int:
-            if self.n is None:
-                raise GraphError(f"family {fam!r} needs --n")
-            return self.n
-
-        if fam == "cycle":
-            return cycle(need_n()), None
-        if fam == "path":
-            return path(need_n()), None
-        if fam == "complete":
-            return complete(need_n()), None
-        if fam == "empty":
-            return empty(need_n()), None
-        if fam == "wheel":
-            return wheel(need_n()), None
-        if fam == "fan":
-            return fan(need_n()), None
-        if fam == "even-extremal":
-            lab = a_graph(need_n())
-            return lab.graph, lab.labels
-        if fam == "odd-extremal":
-            if self.kind is None:
-                raise GraphError("family 'odd-extremal' needs --kind F|G|H")
-            lab = odd_extremal(self.kind, need_n())
-            return lab.graph, lab.labels
-        if fam == "h-block":
-            if self.k is None:
-                raise GraphError("family 'h-block' needs --k")
-            lab = h_block(self.k)
-            return lab.graph, lab.labels
-        if fam == "g-ring":
-            if self.k is None:
-                raise GraphError("family 'g-ring' needs --k")
-            lab = g_ring(self.k)
-            return lab.graph, lab.labels
-        if fam == "q-diameter":
-            return q_graph(need_n()), None
-        if fam == "join":
-            if not self.parts or len(self.parts) != 2:
-                raise GraphError("family 'join' needs exactly two --parts tokens")
-            return join(*(part_from_token(t) for t in self.parts)), None
-        if fam == "seq-join":
-            if not self.parts:
-                raise GraphError("family 'seq-join' needs --parts")
-            return sequential_join([part_from_token(t) for t in self.parts]), None
-        raise GraphError(f"unknown family {fam!r}")
-
-
-FAMILY_NAMES = (
-    "cycle",
-    "path",
-    "complete",
-    "empty",
-    "wheel",
-    "fan",
-    "even-extremal",
-    "odd-extremal",
-    "h-block",
-    "g-ring",
-    "q-diameter",
-    "join",
-    "seq-join",
-)
+        if self.family not in FAMILIES:
+            raise GraphError(f"unknown family {self.family!r}")
+        constructor, reads = FAMILIES[self.family]
+        for opt in reads:
+            if getattr(self, opt) is None:
+                raise GraphError(f"family {self.family!r} needs --{opt}")
+        out = globals()[constructor](**{opt: getattr(self, opt) for opt in reads})
+        return (out.graph, out.labels) if isinstance(out, Labeled) else (out, None)

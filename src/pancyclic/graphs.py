@@ -227,26 +227,28 @@ def parse_graph6(text: str) -> Graph:
 def emit_graph6(g: Graph) -> str:
     """Encode a graph of order at most 62 as a short-form graph6 string."""
     n = g.order
+    # Bit i of ``low`` is entry i of the column-major upper triangle; graph6
+    # reads entry 0 first, so the bit string is reversed.
+    low = 0
+    for v in range(1, n):
+        low |= (g.adj[v] & ((1 << v) - 1)) << (v * (v - 1) // 2)
+    return graph6_from_bits(n, int(f"{low:0{n * (n - 1) // 2}b}"[::-1], 2))
+
+
+def graph6_from_bits(n: int, bits: int) -> str:
+    """The graph6 string of the order-``n`` graph whose column-major upper
+    triangle is the ``n(n-1)/2``-bit integer ``bits``, first entry most
+    significant."""
     if n > _GRAPH6_MAX_ORDER:
         raise GraphError(
             f"graph6 short form carries orders up to {_GRAPH6_MAX_ORDER}, got {n}"
         )
-    out = [chr(n + 63)]
-    group = 0
-    nbits = 0
-    for v in range(1, n):
-        col = g.adj[v]
-        for u in range(v):
-            group = (group << 1) | ((col >> u) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(group + 63))
-                group = 0
-                nbits = 0
-    if nbits:
-        group <<= 6 - nbits
-        out.append(chr(group + 63))
-    return "".join(out)
+    nbits = n * (n - 1) // 2
+    shift = -nbits % 6  # graph6 pads the last group at the end
+    bits <<= shift
+    return chr(n + 63) + "".join(
+        chr((bits >> s & 63) + 63) for s in range(nbits + shift - 6, -1, -6)
+    )
 
 
 def emit_dot(g: Graph, labels: dict[str, int] | None = None) -> str:

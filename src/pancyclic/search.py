@@ -80,7 +80,7 @@ class GraphFilter:
 
     min_degree: int = 0
     connectivity: int = 0
-    predicate: str | None = None  # triangle-cover | edge-pancyclic | vertex-pancyclic | pancyclic
+    predicate: str | None = None  # a key of checks.PREDICATES
 
     def passes(self, g: Graph) -> bool:
         if self.min_degree > 0 and (g.order == 0 or min_degree(g) < self.min_degree):
@@ -93,15 +93,7 @@ class GraphFilter:
 
 
 def _predicate_holds(name: str, g: Graph) -> bool:
-    if name == "triangle-cover":
-        return checks.has_triangle_cover(g).verdict is True
-    if name == "edge-pancyclic":
-        return checks.is_edge_pancyclic(g).verdict is True
-    if name == "vertex-pancyclic":
-        return checks.is_vertex_pancyclic(g).verdict is True
-    if name == "pancyclic":
-        return checks.is_pancyclic(g).verdict is True
-    raise GraphError(f"unknown predicate {name!r}")
+    return checks.check(name, g).verdict is True
 
 
 @dataclass

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import importlib
 import importlib.resources
+import importlib.util
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -14,21 +16,30 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from conftest import random_graph
 
 import pancyclic
 from pancyclic import (
     BUDGET_NOTE,
     __version__,
+    build_graph,
+    canon,
     canonical_code,
     canonical_graph,
+    checks,
     cli,
+    complete,
     cycle,
     cycle_spectrum,
     emit_graph6,
+    empty,
+    families,
     h_block,
+    join,
     min_size_edge_pancyclic,
     min_size_triangle_cover,
     parse_graph6,
+    search,
     wheel,
 )
 
@@ -238,6 +249,70 @@ def test_unread_option_is_usage_error(monkeypatch, capsys, tmp_path):
     assert child.returncode == 2 and child.stdout == "" and "--budget" in child.stderr
 
 
+# A value for every option that some table row reads; None marks a flag.
+OPTION_VALUES = {
+    "n": "6", "k": "3", "kind": "F", "parts": "K1", "budget": "100",
+    "witnesses": None, "kappa": "2", "workers": "1", "max_classes": "5",
+    "exhaustive": None, "stream": "order6.g6",
+}
+
+
+def table_rows(tmp_path):
+    """(argv prefix, table, name) for every row of every dispatch table."""
+    stream = str(tmp_path / OPTION_VALUES["stream"])
+    search_argv = ["search", "min-size", "--order", "6", "--predicate"]
+    for name in checks.PREDICATES:
+        yield ["check", name], checks.PREDICATES, name
+    for name in cli._VERIFY:
+        yield ["verify", name], cli._VERIFY, name
+    for name in cli._MIN_SIZE:
+        prefix = search_argv + (
+            ["edge-pancyclic", "--stream", stream] if name == "--stream" else [name]
+        )
+        yield prefix, cli._MIN_SIZE, name
+    for name in families.FAMILIES:
+        yield ["construct", name], families.FAMILIES, name
+
+
+def option_argv(opt, tmp_path):
+    value = OPTION_VALUES[opt]
+    if opt == "stream":
+        value = str(tmp_path / value)
+    return [f"--{opt.replace('_', '-')}"] + ([] if value is None else [value])
+
+
+def test_every_row_rejects_exactly_its_unread_options(monkeypatch, capsys, tmp_path):
+    (tmp_path / OPTION_VALUES["stream"]).write_text("E~~w\n")
+    for prefix, table, name in table_rows(tmp_path):
+        command = " ".join(prefix[:2]) if prefix[0] == "search" else prefix[0]
+        reads = table[name][1]
+        for opt in sorted({o for _, opts in table.values() for o in opts}):
+            argv = prefix + option_argv(opt, tmp_path)
+            if opt in reads:
+                args = cli.build_parser().parse_args(argv)
+                assert opt in cli._options(args, command, name, table), argv
+                continue
+            if prefix[0] == "search" and opt == "stream" and name == "edge-pancyclic":
+                continue  # --stream with this predicate selects the stream row
+            stdin = io.StringIO("C~\n")
+            monkeypatch.setattr("sys.stdin", stdin)
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            option = option_argv(opt, tmp_path)[0]
+            assert code == 2 and out == "" and option in err, argv
+            assert stdin.tell() == 0, argv
+    for argv, stdin, option in (
+        (["construct", "wheel", "--n", "6", "--k", "9", "--kind", "F", "--parts", "K1"],
+         "", "--k"),
+        (["search", "min-size", "--order", "5", "--predicate", "edge-pancyclic",
+          "--kappa", "3"], "", "--kappa"),
+        (["check", "edge-pancyclic", "--kappa", "5"], "DqK\n", "--kappa"),
+        (["check", "connectivity", "--kappa", "-1"], "DqK\n", "kappa"),
+    ):
+        code, out, err = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+        assert code == 2 and out == "" and option in err, argv
+
+
 def test_bad_budget_or_workers_fail_in_witness_mode(monkeypatch, capsys):
     # search max-diameter reads --max-classes and --workers in every mode, so
     # a bad value is a usage error even where the witness needs no walk.
@@ -252,16 +327,41 @@ def test_bad_budget_or_workers_fail_in_witness_mode(monkeypatch, capsys):
             assert code == 2 and out == "" and message in err, argv
 
 
+def hypercube(d: int):
+    return build_graph(1 << d, [(v, v ^ (1 << i)) for v in range(1 << d)
+                                for i in range(d) if v < v ^ (1 << i)])
+
+
 def test_canon_matches_module_calls(monkeypatch, capsys):
     code, out, _ = run_cli(monkeypatch, capsys, ["canon"], stdin="DqK\nC~\n")
     assert code == 0
     rows = envelopes(out)
-    for row, line in zip(rows, ("DqK", "C~")):
-        g = parse_graph6(line)
-        assert row["result"]["graph6"] == emit_graph6(canonical_graph(g))
-        assert row["result"]["code_hex"] == canonical_code(g).hex()
     assert rows[0]["result"]["code_hex"] == "0323"
     assert rows[1]["result"]["code_hex"] == "3f"
+    # One canonization per line, its graph6 read off the code's bits.
+    rng = random.Random(7)
+    graphs = [random_graph(rng, n, rng.random()) for n in range(15) for _ in range(3)]
+    graphs += [join(empty(6), empty(6)), hypercube(4),
+               build_graph(14, list(complete(7).edges())
+                           + [(u + 7, v + 7) for u, v in complete(7).edges()])]
+    lines = ["DqK", "C~"] + [emit_graph6(g) for g in graphs]
+    canonize = canon._canonize
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return canonize(g)
+
+    monkeypatch.setattr(canon, "_canonize", counted)
+    code, out, _ = run_cli(monkeypatch, capsys, ["canon"], stdin="\n".join(lines))
+    assert code == 0 and len(calls) == len(lines)
+    monkeypatch.setattr(canon, "_canonize", canonize)
+    rows = envelopes(out)
+    assert len(rows) == len(lines)
+    for row, line in zip(rows, lines):
+        g = parse_graph6(line)
+        assert row["result"]["graph6"] == emit_graph6(canonical_graph(g)), line
+        assert row["result"]["code_hex"] == canonical_code(g).hex(), line
 
 
 # -- search ------------------------------------------------------------------
@@ -313,6 +413,21 @@ def test_search_stream_file(monkeypatch, capsys, tmp_path):
     (row,) = envelopes(out)
     assert row["result"]["value"] == 10
     assert row["result"]["exhaustive"] is False
+
+
+def test_search_stream_file_errors(monkeypatch, capsys, tmp_path):
+    # An unreadable stream file is a usage error naming the file, not a
+    # traceback that exits 1.
+    (tmp_path / "latin.g6").write_bytes("E~~w \u00e9\n".encode("latin-1"))
+    for name in ("missing.g6", "", "latin.g6"):
+        stream = str(tmp_path / name)
+        code, out, err = run_cli(
+            monkeypatch, capsys,
+            ["search", "min-size", "--order", "6", "--predicate", "edge-pancyclic",
+             "--stream", stream],
+        )
+        assert code == 2 and out == "" and stream in err, name
+        assert "Traceback" not in err
 
 
 def test_search_max_diameter(monkeypatch, capsys):
@@ -396,6 +511,26 @@ def test_envelope_metadata(monkeypatch, capsys):
     assert row["version"] == __version__
     assert isinstance(row["elapsed_ms"], int) and row["elapsed_ms"] >= 0
     assert row["inputs"]["graph6"] == "C~"
+
+
+def test_benchmark_tracer_seams(monkeypatch, capsys):
+    # The benchmark's tracer wraps functions under the names their callers
+    # look up; entering it fails if one of those names is gone, and a call
+    # that bypasses the name records no span.
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    with tracer.Counters():
+        pass
+    with tracer.Tracer() as t:
+        run_cli(monkeypatch, capsys, ["check", "edge-pancyclic"],
+                stdin=emit_graph6(wheel(5)))
+        run_cli(monkeypatch, capsys, ["canon"], stdin="DqK\n")
+        search.min_size_edge_pancyclic(5, workers=1)
+    names = {span[0] for span in t.spans}
+    assert {"checks.is_edge_pancyclic", "canon.canonical_code",
+            "canon._canonize"} <= names
 
 
 def run_child(argv, stdin=None, **extra_env):
