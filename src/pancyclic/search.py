@@ -1,18 +1,23 @@
 """Isomorph-free exhaustive generation and the extremal searches built on it.
 
-Two generators, both canonical-augmentation trees in McKay's sense (a child
-is kept iff undoing its canonically chosen last move returns its parent, so
-every isomorphism class appears exactly once, with no global seen-set):
+Two canonical-augmentation trees in McKay's sense share one acceptance step,
+:func:`_accepted_children`: a child is kept iff undoing its canonically
+chosen last move returns its parent, so every isomorphism class appears
+exactly once, with no global seen-set. A node is a graph with no isolated
+vertex on its active vertices; a move may also activate the lowest unused
+ones, which are isolated and so interchangeable.
 
-* :func:`enumerate_graphs` grows by single edges over the unrestricted
-  universe of graphs on ``n`` vertices. Good up to n = 12 or so.
+* :func:`enumerate_graphs` adds one edge and removes the edge with the
+  largest relabeled pair. Every edge is removable, so the tree reaches every
+  graph with no isolated vertex on k <= n vertices; padding each with n - k
+  isolated vertices gives every graph of order n once. Good up to n = 12 or so.
 
-* :func:`enumerate_covered_graphs` grows by triangle moves (add one
-  triangle, creating 1..3 missing edges) over the universe of graphs in
-  which every edge lies in a triangle. Every search target here (triangle
-  cover, edge-pancyclic) lives inside that universe, which is exponentially
-  sparser than the unrestricted one, and that is what makes order 10 and 11
-  censuses feasible in pure Python.
+* :func:`enumerate_covered_graphs` adds one triangle (creating 1..3 missing
+  edges) over the universe of graphs in which every edge lies in a
+  triangle. Every search target here (triangle cover, edge-pancyclic) lives
+  inside that universe, which is exponentially sparser than the
+  unrestricted one, and that is what makes order 10 and 11 censuses
+  feasible in pure Python.
 
 Why the triangle tree covers its universe: every nonempty covered graph C
 has a removable nonempty edge subset E inside one triangle with C - E still
@@ -49,8 +54,9 @@ from . import checks
 from .canon import _canonize, canonical_graph
 from .graphs import (
     Graph,
+    Graph6Error,
     GraphError,
-    build_graph,
+    build_graph,  # unused here; perfbench/tracer.py wraps search.build_graph
     diameter,
     emit_graph6,
     is_k_connected,
@@ -139,50 +145,103 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
+# -- the shared acceptance step -----------------------------------------------
+
+_Node = tuple[list[int], int, int, int]  # rows, active vertices, size, canonical code
+_Move = tuple[list[int], int, int, tuple[tuple[int, int], ...]]  # rows, act, size, added edges
+
+
+def _compact(rows: list[int], act: int) -> tuple[int, tuple[int, ...]]:
+    # Drop zero-degree vertices, preserving relative order of the rest.
+    keep = [v for v in range(act) if rows[v]]
+    remap = {v: i for i, v in enumerate(keep)}
+    out = []
+    for v in keep:
+        row = rows[v]
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= 1 << remap[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return len(keep), tuple(out)
+
+
+def _accepted_children(
+    node: _Node,
+    moves: Iterable[_Move],
+    removal_of: Callable[[list[int], int, tuple[int, ...]], tuple[tuple[int, int], ...]],
+) -> Iterator[_Node]:
+    """The children of ``node`` among ``moves`` that McKay's test accepts,
+    one per class; ``removal_of(rows, act, sigma)`` is the universe's
+    canonical removal. A parent other than ``node`` is told by its sorted
+    degree sequence (hence active count and size) before it is canonized."""
+    rows, _, _, code = node
+    degrees = sorted(r.bit_count() for r in rows)
+    # Different moves that add the same edges give the same child; drop the
+    # repeats before canonizing them.
+    seen_rows: set[tuple[int, ...]] = set()
+    seen_codes: set[tuple[int, int]] = set()
+    for child, new_act, new_m, added in moves:
+        key = tuple(child)
+        if key in seen_rows:
+            continue
+        seen_rows.add(key)
+        ccode, perm = _canonize(Graph(new_act, key))
+        if (new_act, ccode) in seen_codes:
+            continue
+        seen_codes.add((new_act, ccode))
+        sigma = [0] * new_act
+        for pos, vert in enumerate(perm):
+            sigma[vert] = pos
+        removal = removal_of(child, new_act, tuple(sigma))
+        if frozenset(removal) != frozenset(added):
+            back = child[:]
+            for a, b in removal:
+                back[a] &= ~(1 << b)
+                back[b] &= ~(1 << a)
+            back_act, back_rows = _compact(back, new_act)
+            back_degrees = sorted(r.bit_count() for r in back_rows)
+            if back_degrees != degrees or _canonize(Graph(back_act, back_rows))[0] != code:
+                continue
+        yield child, new_act, new_m, ccode
+
+
 # -- unrestricted generator: canonical augmentation by one edge -------------
 
 
-def _canonical_last_edge(g: Graph, sigma: tuple[int, ...]) -> tuple[int, int]:
-    # The edge whose relabeled pair is lexicographically largest. sigma maps
-    # vertex -> canonical position; the choice is isomorphism-invariant.
-    best = None
-    best_key = (-1, -1)
-    for u, v in g.edges():
-        a, b = sigma[u], sigma[v]
-        key = (a, b) if a < b else (b, a)
-        if key > best_key:
-            best_key = key
-            best = (u, v)
-    assert best is not None
-    return best
+def _edge_children(rows: list[int], act: int, m: int, n: int) -> Iterator[_Move]:
+    # All edge moves: pairs over active vertices plus up to 2 fresh ones.
+    pairs = [(u, v) for u in range(act) for v in range(u + 1, act) if not (rows[u] >> v) & 1]
+    if act + 1 <= n:
+        pairs += [(u, act) for u in range(act)]
+    if act + 2 <= n:
+        pairs.append((act, act + 1))
+    for u, v in pairs:
+        new_act = max(act, v + 1)
+        child = rows[:act] + [0] * (new_act - act)
+        child[u] |= 1 << v
+        child[v] |= 1 << u
+        yield child, new_act, m + 1, ((u, v),)
 
 
-def _iter_edge_tree(g: Graph, code: int, size_hi: int) -> Iterator[Graph]:
-    yield g
-    if g.size >= size_hi:
-        return
-    n = g.order
-    seen: set[int] = set()
-    for u in range(n):
-        for v in range(u + 1, n):
-            if g.has_edge(u, v):
-                continue
-            child = g.with_edge(u, v)
-            ccode, perm = _canonize(child)
-            if ccode in seen:
-                continue
-            seen.add(ccode)
-            sigma = [0] * n
-            for pos, vert in enumerate(perm):
-                sigma[vert] = pos
-            fu, fv = _canonical_last_edge(child, tuple(sigma))
-            if (fu, fv) == (u, v):
-                accept = True
-            else:
-                back = child.without_edge(fu, fv)
-                accept = sorted(back.degrees()) == sorted(g.degrees()) and _canonize(back)[0] == code
-            if accept:
-                yield from _iter_edge_tree(child, ccode, size_hi)
+def _keyed_edges(rows: list[int], act: int, sigma: tuple[int, ...]) -> list[tuple[tuple, int, int]]:
+    # Each edge (a, b), a < b, with its relabeled pair as key, in key order.
+    keyed = []
+    for a in range(act):
+        ra, sa = rows[a], sigma[a]
+        for b in range(a + 1, act):
+            if (ra >> b) & 1:
+                sb = sigma[b]
+                keyed.append(((sa, sb) if sa < sb else (sb, sa), a, b))
+    keyed.sort()
+    return keyed
+
+
+def _last_edge(rows: list[int], act: int, sigma: tuple[int, ...]) -> tuple[tuple[int, int]]:
+    # The edge with the largest key; every edge is removable.
+    _, a, b = _keyed_edges(rows, act, sigma)[-1]
+    return ((a, b),)
 
 
 def enumerate_graphs(
@@ -207,13 +266,15 @@ def enumerate_graphs(
             f"supply a graph6 stream for larger orders"
         )
     lo, hi = size_range if size_range is not None else (0, n * (n - 1) // 2)
-    root = build_graph(n, [])
-    for g in _iter_edge_tree(root, _canonize(root)[0], hi):
-        if g.size < lo:
-            continue
-        if graph_filter is not None and not graph_filter.passes(g):
-            continue
-        yield canonical_graph(g)
+    stack: list[_Node] = [([], 0, 0, 0)]
+    while stack:
+        node = stack.pop()
+        rows, act, m, _ = node
+        g = Graph(n, tuple(rows) + (0,) * (n - act))
+        if m >= lo and (graph_filter is None or graph_filter.passes(g)):
+            yield canonical_graph(g)
+        if m < hi:
+            stack.extend(_accepted_children(node, _edge_children(rows, act, m, n), _last_edge))
 
 
 def _filter_stream(
@@ -228,7 +289,10 @@ def _filter_stream(
         line = line.strip()
         if not line:
             continue
-        g = parse_graph6(line)
+        try:
+            g = parse_graph6(line)
+        except Graph6Error as exc:
+            raise GraphError(f"stream line {lineno}: {exc}") from exc
         if g.order != n:
             raise GraphError(f"stream line {lineno}: order {g.order}, expected {n}")
         if not (lo <= g.size <= hi):
@@ -268,22 +332,6 @@ def _covered_after_removal(rows: list[int], removed: tuple[tuple[int, int], ...]
     return True
 
 
-def _compact(rows: list[int], act: int) -> tuple[int, tuple[int, ...]]:
-    # Drop zero-degree vertices, preserving relative order of the rest.
-    keep = [v for v in range(act) if rows[v]]
-    remap = {v: i for i, v in enumerate(keep)}
-    out = []
-    for v in keep:
-        row = rows[v]
-        acc = 0
-        while row:
-            low = row & -row
-            acc |= 1 << remap[low.bit_length() - 1]
-            row ^= low
-        out.append(acc)
-    return len(keep), tuple(out)
-
-
 def _canonical_removal(rows: list[int], act: int, sigma: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """The canonical removal: of the nonempty edge sets inside one triangle
     whose removal leaves every edge in a triangle, the one with the smallest
@@ -303,15 +351,7 @@ def _canonical_removal(rows: list[int], act: int, sigma: tuple[int, ...]) -> tup
     triples through ``e`` sorted by key, is every candidate in ascending
     order.
     """
-    keyed = []
-    for a in range(act):
-        ra, sa = rows[a], sigma[a]
-        for b in range(a + 1, act):
-            if (ra >> b) & 1:
-                sb = sigma[b]
-                keyed.append(((sa, sb) if sa < sb else (sb, sa), a, b))
-    keyed.sort()
-    for ke, a, b in keyed:
+    for ke, a, b in _keyed_edges(rows, act, sigma):
         common = rows[a] & rows[b]
         if not common:
             continue
@@ -366,12 +406,8 @@ class _CoveredSurvey:
     survivors: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
 
 
-def _covered_children(
-    rows: list[int], act: int, m: int, tree: _Tree
-) -> Iterator[tuple[list[int], int, int, tuple[tuple[int, int], ...]]]:
-    # All triangle moves: triples over active vertices plus up to 3 fresh
-    # ones (fresh = next unused indices; isolated vertices are interchangeable
-    # so using the lowest indices loses nothing).
+def _covered_children(rows: list[int], act: int, m: int, tree: _Tree) -> Iterator[_Move]:
+    # All triangle moves: triples over active vertices plus up to 3 fresh ones.
     n, m_hi, floor = tree.n, tree.m_hi, tree.keep.min_degree
     budget = m_hi - m
     if budget <= 0:
@@ -422,9 +458,6 @@ def _covered_children(
         yield child, new_act, new_m, tuple(missing)
 
 
-_Node = tuple[list[int], int, int, int]  # rows, active vertices, size, canonical code
-
-
 def _walk_covered(
     tree: _Tree, root: _Node, survey: _CoveredSurvey,
     class_budget: int | None = None, frontier: int | None = None,
@@ -437,7 +470,8 @@ def _walk_covered(
     queue: deque[_Node] = deque([root])
     pop = queue.pop if frontier is None else queue.popleft
     while queue and (frontier is None or len(queue) < frontier):
-        rows, act, m, code = pop()
+        node = pop()
+        rows, act, m, _ = node
         survey.classes_seen += 1
         if class_budget is not None and survey.classes_seen > class_budget:
             raise SearchBudgetExceeded
@@ -446,38 +480,9 @@ def _walk_covered(
             leaf = Graph(act, tuple(rows))
             if keep.passes(leaf):
                 survey.survivors.append((act, leaf.adj))
-        # Different triangles that add the same missing edges give the same
-        # child; drop the repeats before canonizing them.
-        seen_rows: set[tuple[int, tuple[int, ...]]] = set()
-        seen_children: set[tuple[int, int]] = set()
-        for child, new_act, new_m, added in _covered_children(rows, act, m, tree):
-            key = (new_act, tuple(child))
-            if key in seen_rows:
-                continue
-            seen_rows.add(key)
-            ccode, perm = _canonize(Graph(new_act, key[1]))
-            if (new_act, ccode) in seen_children:
-                continue
-            seen_children.add((new_act, ccode))
-            sigma = [0] * new_act
-            for pos, vert in enumerate(perm):
-                sigma[vert] = pos
-            removal = _canonical_removal(child, new_act, tuple(sigma))
-            if frozenset(removal) == frozenset(added):
-                accept = True
-            else:
-                back = child[:]
-                for a, b in removal:
-                    back[a] &= ~(1 << b)
-                    back[b] &= ~(1 << a)
-                back_act, back_rows = _compact(back, new_act)
-                accept = (
-                    back_act == act
-                    and sum(r.bit_count() for r in back_rows) // 2 == m
-                    and _canonize(Graph(back_act, back_rows))[0] == code
-                )
-            if accept:
-                queue.append((child, new_act, new_m, ccode))
+        queue.extend(
+            _accepted_children(node, _covered_children(rows, act, m, tree), _canonical_removal)
+        )
     return list(queue)
 
 
@@ -833,6 +838,8 @@ def extremal_census(
         raise GraphError(f"census predicate must name a cover check, got {predicate!r}")
     if not 3 <= n <= _BUILTIN_MAX_ORDER:
         raise GraphError(f"census supports 3 <= n <= {_BUILTIN_MAX_ORDER}")
+    if kappa < 0:
+        raise GraphError(f"kappa must be >= 0, got {kappa}")
     max_size = n * (n - 1) // 2
     lo, hi = (0, max_size) if size is None else (size, size)
     if not 0 <= hi <= max_size:

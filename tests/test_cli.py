@@ -416,17 +416,19 @@ def test_search_stream_file(monkeypatch, capsys, tmp_path):
 
 
 def test_search_stream_file_errors(monkeypatch, capsys, tmp_path):
-    # An unreadable stream file is a usage error naming the file, not a
-    # traceback that exits 1.
+    # An unreadable stream file is a usage error naming the file, and a
+    # malformed line one naming the line, not a traceback that exits 1.
     (tmp_path / "latin.g6").write_bytes("E~~w \u00e9\n".encode("latin-1"))
-    for name in ("missing.g6", "", "latin.g6"):
+    (tmp_path / "bad.g6").write_text("E~~w\nD!c\n")
+    for name, named in (("missing.g6", None), ("", None), ("latin.g6", None),
+                        ("bad.g6", "stream line 2:")):
         stream = str(tmp_path / name)
         code, out, err = run_cli(
             monkeypatch, capsys,
             ["search", "min-size", "--order", "6", "--predicate", "edge-pancyclic",
              "--stream", stream],
         )
-        assert code == 2 and out == "" and stream in err, name
+        assert code == 2 and out == "" and (named or stream) in err, name
         assert "Traceback" not in err
 
 

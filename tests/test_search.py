@@ -36,14 +36,16 @@ from pancyclic import search
 from pancyclic.search import WORKERS_ENV
 from oracles import canonical_removal, iter_labeled_graphs
 
-CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044)  # graphs on 1..7 vertices
+CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044)  # graphs on 0..7 vertices
+# OEIS A008406: graphs on 7 vertices with 0..21 edges
+SIZE_COUNTS_7 = (1, 1, 2, 5, 10, 21, 41, 65, 97, 131, 148, 148, 131, 97, 65, 41, 21, 10, 5, 2, 1, 1)
 
 
 # -- the unrestricted generator -----------------------------------------------
 
 
 def test_generator_class_counts():
-    for n, want in enumerate(CLASS_COUNTS, start=1):
+    for n, want in enumerate(CLASS_COUNTS):
         got = sum(1 for _ in enumerate_graphs(n))
         assert got == want, f"order {n}"
 
@@ -57,21 +59,32 @@ def test_generator_emits_each_class_once():
 
 
 def test_generator_filtered_count_matches_naive_oracle():
-    # order 6, connected, minimum degree 2: dedup a filtered naive enumeration
+    # Each generator yields one graph per class of a canonical-code dedup of
+    # every labeled graph that passes the same test: order 6, connected,
+    # minimum degree 2; and every covered graph with no isolated vertex of
+    # order <= 6, which also pins the covered tree apart from the edge tree.
     flt = GraphFilter(min_degree=2, connectivity=1)
-    got = sum(1 for _ in enumerate_graphs(6, graph_filter=flt))
-    want = set()
-    for order, edges in iter_labeled_graphs(6):
-        g = build_graph(order, edges)
-        if min_degree(g) >= 2 and is_connected(g):
-            want.add(canonical_code(g).bits)
-    assert got == len(want)
+    cases = [(6, enumerate_graphs(6, graph_filter=flt),
+              lambda g: min_degree(g) >= 2 and is_connected(g))]
+    for n in range(1, 7):
+        cases.append((n, enumerate_covered_graphs(n, n * (n - 1) // 2),
+                      lambda g: min_degree(g) > 0 and has_triangle_cover(g).verdict))
+    for n, generated, holds in cases:
+        got = [canonical_code(g).bits for g in generated]
+        want = set()
+        for order, edges in iter_labeled_graphs(n):
+            g = build_graph(order, edges)
+            if holds(g):
+                want.add(canonical_code(g).bits)
+        assert len(got) == len(set(got)) and set(got) == want, n
 
 
 def test_generator_size_range():
     for g in enumerate_graphs(5, size_range=(4, 6)):
         assert 4 <= g.size <= 6
     assert sum(1 for _ in enumerate_graphs(5, size_range=(0, 0))) == 1
+    for m, want in enumerate(SIZE_COUNTS_7):
+        assert sum(1 for _ in enumerate_graphs(7, size_range=(m, m))) == want, m
 
 
 def test_generator_order_bound():
@@ -80,10 +93,11 @@ def test_generator_order_bound():
 
 
 def test_generator_stream_mode():
-    lines = ["Dhc", "DqK", "C~", "", "Dhc"]  # DqK is Dhc relabeled; C~ wrong order
-    with pytest.raises(GraphError) as e:
-        list(enumerate_graphs(5, stream=iter(lines)))
-    assert "line 3" in str(e.value)
+    # DqK is Dhc relabeled; C~ has the wrong order; D!c is not graph6.
+    for lines, bad in ((["Dhc", "DqK", "C~", "", "Dhc"], 3), (["Dhc", "D!c"], 2)):
+        with pytest.raises(GraphError) as e:
+            list(enumerate_graphs(5, stream=iter(lines)))
+        assert f"stream line {bad}:" in str(e.value)
     got = list(enumerate_graphs(5, stream=iter(["Dhc", "DqK", "", "Dhc"])))
     assert len(got) == 1  # all three non-empty lines are the same class
 
@@ -338,6 +352,8 @@ def test_census_rejects_bad_parameters():
         extremal_census(13, "triangle-cover")
     with pytest.raises(GraphError):
         extremal_census(5, "triangle-cover", size=11)
+    with pytest.raises(GraphError):
+        extremal_census(5, "triangle-cover", kappa=-3)
 
 
 def test_max_diameter_exhaustive_small():
