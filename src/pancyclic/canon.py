@@ -12,6 +12,18 @@ Automorphisms discovered when two branches reach the same leaf code are
 used to skip equivalent branches, which keeps highly symmetric graphs
 (empty, complete, unions of equal components) from exploding the search.
 
+:func:`_canonize` returns the code, the labeling and these automorphisms.
+They generate a subgroup of Aut(g), not always the whole group, and that
+is enough for a caller that skips work by symmetry: a subgroup orbit lies
+inside an orbit of the whole group, so the points it joins are equivalent;
+a smaller orbit only means that fewer points are skipped.
+
+The first refinement splits the single cell by degree, highest first, and
+later steps only split cells. So every labeling, the canonical one
+included, puts a vertex of higher degree at a smaller position:
+``deg u > deg v`` implies ``sigma(u) < sigma(v)``. The augmentation trees
+in :mod:`.search` use this to reject children before canonizing them.
+
 Two bookkeeping devices make this cheaper without changing which nodes
 are visited, in which order, or what each node computes, so every code
 and every labeling is the same as with the plain loops:
@@ -250,12 +262,15 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _canonize(g: Graph) -> tuple[int, list[int]]:
-    """Canonical (code_int, labeling) where labeling maps position -> vertex."""
+def _canonize(g: Graph) -> tuple[int, list[int], tuple[tuple[int, ...], ...]]:
+    """Canonical ``(code_int, labeling, generators)``: the labeling maps
+    position -> vertex; each generator ``gamma`` is an automorphism of ``g``
+    sending ``v`` to ``gamma[v]``, and together they generate a subgroup of
+    Aut(g) (see the module docstring)."""
     c = _Canonizer(g)
     c.run()
     assert c.best_perm is not None
-    return c.best_code, c.best_perm
+    return c.best_code, c.best_perm, tuple(c.gen_set)
 
 
 def _pack(order: int, code: int) -> bytes:
@@ -265,13 +280,13 @@ def _pack(order: int, code: int) -> bytes:
 
 def canonical_code(g: Graph) -> CanonicalCode:
     """Canonical code of ``g``; equal codes certify isomorphism."""
-    code, _ = _canonize(g)
+    code, _, _ = _canonize(g)
     return CanonicalCode(order=g.order, bits=_pack(g.order, code))
 
 
 def canonical_labeling(g: Graph) -> tuple[int, ...]:
     """Permutation sending ``g`` to canonical form: vertex ``v`` -> new label."""
-    _, perm = _canonize(g)
+    _, perm, _ = _canonize(g)
     inv = [0] * g.order
     for pos, v in enumerate(perm):
         inv[v] = pos

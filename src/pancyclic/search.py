@@ -29,6 +29,27 @@ each survivor, leaving each at least one. Induction then walks every
 covered graph down to the empty graph, so the forward tree reaches all of
 them.
 
+Most children are thrown away, so the acceptance step rejects what it can
+before canonizing a child (McKay's cheap rejection); both rejections are
+exact, and every class, count and witness is the same as without them:
+
+* Orbit pruning. A node carries the automorphism generators its
+  canonization found. A parent automorphism that fixes the fresh vertices
+  maps a move to a move with an isomorphic child, so a move in the orbit of
+  an earlier one is skipped: the plain step would have dropped its child as
+  a repeated code, or rejected it as it rejected the earlier one.
+* Degree pre-filter. Canon places a vertex of higher degree first, so if
+  hi(e), the larger endpoint degree of edge e, exceeds hi(f), then e's
+  relabeled pair comes before f's. The last edge of the edge tree, the one
+  of largest key, therefore has the smallest hi of all edges, and a child
+  whose added edge has a larger hi is rejected. In the triangle tree, a
+  removable set holding an edge whose hi exceeds that of every added edge
+  has a smaller key than the added set and than every set in its orbit, so
+  the canonical removal is not in that orbit and the child is rejected. If
+  the child's class has this parent, another move of the parent adds a set
+  that an isomorphism maps onto the canonical removal, passes the filter,
+  and reaches the class.
+
 Every covered-tree search is one :class:`_Tree` spec, one walk and one
 :func:`_extremal` reduction; :func:`_leaf_filter` is the one place where
 the degree and connectivity floors that prune the walk are argued.
@@ -59,6 +80,7 @@ from .graphs import (
     build_graph,  # unused here; perfbench/tracer.py wraps search.build_graph
     diameter,
     emit_graph6,
+    graph6_from_bits,
     is_k_connected,
     min_degree,
     parse_graph6,
@@ -147,8 +169,11 @@ def resolve_workers(workers: int | None = None) -> int:
 
 # -- the shared acceptance step -----------------------------------------------
 
-_Node = tuple[list[int], int, int, int]  # rows, active vertices, size, canonical code
+# rows, active vertices, size, canonical code, automorphism generators
+_Node = tuple[list[int], int, int, int, tuple[tuple[int, ...], ...]]
 _Move = tuple[list[int], int, int, tuple[tuple[int, int], ...]]  # rows, act, size, added edges
+_Removal = Callable[[list[int], int, tuple[int, ...]], tuple[tuple[int, int], ...]]
+_Rejects = Callable[[list[int], int, tuple[tuple[int, int], ...]], bool]
 
 
 def _compact(rows: list[int], act: int) -> tuple[int, tuple[int, ...]]:
@@ -167,27 +192,72 @@ def _compact(rows: list[int], act: int) -> tuple[int, tuple[int, ...]]:
     return len(keep), tuple(out)
 
 
+def _add_orbit(
+    seen: set[frozenset[tuple[int, int]]], move: frozenset[tuple[int, int]],
+    gens: tuple[tuple[int, ...], ...], act: int,
+) -> None:
+    # Add the orbit of the edge set ``move`` under the group generated by
+    # ``gens`` (automorphisms of the parent on its ``act`` active vertices,
+    # extended by fixing every fresh vertex) to ``seen``, a union of orbits.
+    seen.add(move)
+    todo = [move]
+    while todo:
+        edges = todo.pop()
+        for gamma in gens:
+            image = []
+            for a, b in edges:
+                a = gamma[a] if a < act else a
+                b = gamma[b] if b < act else b
+                image.append((a, b) if a < b else (b, a))
+            img = frozenset(image)
+            if img not in seen:
+                seen.add(img)
+                todo.append(img)
+
+
 def _accepted_children(
-    node: _Node,
-    moves: Iterable[_Move],
-    removal_of: Callable[[list[int], int, tuple[int, ...]], tuple[tuple[int, int], ...]],
+    node: _Node, moves: Iterable[_Move], removal_of: _Removal, rejects: _Rejects,
 ) -> Iterator[_Node]:
     """The children of ``node`` among ``moves`` that McKay's test accepts,
-    one per class; ``removal_of(rows, act, sigma)`` is the universe's
-    canonical removal. A parent other than ``node`` is told by its sorted
-    degree sequence (hence active count and size) before it is canonized."""
-    rows, _, _, code = node
+    one per class, each with its canonical code and automorphism generators.
+
+    ``removal_of(rows, act, sigma)`` is the universe's canonical removal, and
+    a child is accepted iff undoing it gives a graph isomorphic to ``node``;
+    a parent other than ``node`` is told by its sorted degree sequence
+    (hence active count and size) before it is canonized. Two exact
+    rejections run before a child is canonized:
+
+    * Orbit pruning. ``seen_moves``, the added edge sets met so far, is
+      closed under the generators of ``node``, with every fresh vertex fixed.
+      A parent automorphism fixing the fresh vertices maps a move to a move
+      whose child is isomorphic, so a move whose added set is in
+      ``seen_moves`` repeats the class of the first move of its orbit. That
+      move was canonized, and the plain step would have dropped this child
+      as a repeated code, or it was rejected by ``rejects``, which answers
+      alike on a whole orbit. The generators may span only a subgroup of
+      Aut(node); smaller orbits only skip fewer moves.
+    * ``rejects(rows, act, added)``, the universe's cheap test, is True only
+      if the child's canonical removal lies outside the orbit of ``added``
+      under Aut(child); it reads invariants of the child with ``added``
+      marked, so it answers alike on an orbit. A rejected child is not lost:
+      if undoing its canonical removal gives ``node``, an isomorphism from
+      that graph onto ``node`` turns the removal into a move of ``node``
+      whose added set is, up to isomorphism, the canonical removal, and
+      that move passes ``rejects``. So the class is accepted, possibly
+      through a later move with other labels.
+    """
+    rows, act, _, code, gens = node
     degrees = sorted(r.bit_count() for r in rows)
-    # Different moves that add the same edges give the same child; drop the
-    # repeats before canonizing them.
-    seen_rows: set[tuple[int, ...]] = set()
+    seen_moves: set[frozenset[tuple[int, int]]] = set()
     seen_codes: set[tuple[int, int]] = set()
     for child, new_act, new_m, added in moves:
-        key = tuple(child)
-        if key in seen_rows:
+        move = frozenset(added)
+        if move in seen_moves:
             continue
-        seen_rows.add(key)
-        ccode, perm = _canonize(Graph(new_act, key))
+        _add_orbit(seen_moves, move, gens, act)
+        if rejects(child, new_act, added):
+            continue
+        ccode, perm, cgens = _canonize(Graph(new_act, tuple(child)))
         if (new_act, ccode) in seen_codes:
             continue
         seen_codes.add((new_act, ccode))
@@ -195,7 +265,7 @@ def _accepted_children(
         for pos, vert in enumerate(perm):
             sigma[vert] = pos
         removal = removal_of(child, new_act, tuple(sigma))
-        if frozenset(removal) != frozenset(added):
+        if frozenset(removal) != move:
             back = child[:]
             for a, b in removal:
                 back[a] &= ~(1 << b)
@@ -204,7 +274,14 @@ def _accepted_children(
             back_degrees = sorted(r.bit_count() for r in back_rows)
             if back_degrees != degrees or _canonize(Graph(back_act, back_rows))[0] != code:
                 continue
-        yield child, new_act, new_m, ccode
+        yield child, new_act, new_m, ccode, cgens
+
+
+def _hi(degs: list[int], a: int, b: int) -> int:
+    # The larger endpoint degree of edge ab. Canon labels a vertex of higher
+    # degree first, so hi(e) > hi(f) puts e's relabeled pair before f's.
+    da, db = degs[a], degs[b]
+    return da if da > db else db
 
 
 # -- unrestricted generator: canonical augmentation by one edge -------------
@@ -244,6 +321,23 @@ def _last_edge(rows: list[int], act: int, sigma: tuple[int, ...]) -> tuple[tuple
     return ((a, b),)
 
 
+def _edge_rejects(rows: list[int], act: int, added: tuple[tuple[int, int], ...]) -> bool:
+    # The last edge has the largest key, hence the smallest hi of all edges;
+    # reject the added edge ab if some edge has a smaller hi than ab.
+    degs = [r.bit_count() for r in rows]
+    ((a, b),) = added
+    h = _hi(degs, a, b)
+    for u in range(act):
+        if degs[u] < h:
+            nb = rows[u]
+            while nb:
+                low = nb & -nb
+                if degs[low.bit_length() - 1] < h:
+                    return True
+                nb ^= low
+    return False
+
+
 def enumerate_graphs(
     n: int,
     size_range: tuple[int, int] | None = None,
@@ -266,15 +360,21 @@ def enumerate_graphs(
             f"supply a graph6 stream for larger orders"
         )
     lo, hi = size_range if size_range is not None else (0, n * (n - 1) // 2)
-    stack: list[_Node] = [([], 0, 0, 0)]
+    nbits = n * (n - 1) // 2
+    stack: list[_Node] = [([], 0, 0, 0, ())]
     while stack:
         node = stack.pop()
-        rows, act, m, _ = node
-        g = Graph(n, tuple(rows) + (0,) * (n - act))
-        if m >= lo and (graph_filter is None or graph_filter.passes(g)):
-            yield canonical_graph(g)
+        rows, act, m, code, _ = node
+        if m >= lo:
+            # The canonical graph of the node padded with isolated vertices:
+            # they sort last, so the padded columns add only zero bits.
+            g = parse_graph6(graph6_from_bits(n, code << (nbits - act * (act - 1) // 2)))
+            if graph_filter is None or graph_filter.passes(g):
+                yield g
         if m < hi:
-            stack.extend(_accepted_children(node, _edge_children(rows, act, m, n), _last_edge))
+            stack.extend(_accepted_children(
+                node, _edge_children(rows, act, m, n), _last_edge, _edge_rejects
+            ))
 
 
 def _filter_stream(
@@ -385,6 +485,48 @@ def _canonical_removal(rows: list[int], act: int, sigma: tuple[int, ...]) -> tup
     raise AssertionError("every nonempty covered graph has a removable subset")
 
 
+def _removable_through(rows: list[int], a: int, b: int) -> bool:
+    # Whether some removable set (see _canonical_removal) contains edge ab.
+    e = ((a, b),)
+    if _covered_after_removal(rows, e):
+        return True
+    common = rows[a] & rows[b]
+    while common:
+        low = common & -common
+        c = low.bit_length() - 1
+        common ^= low
+        fa, fb = (a, c), (b, c)
+        for cand in (e + (fa,), e + (fb,), e + (fa, fb)):
+            if _covered_after_removal(rows, cand):
+                return True
+    return False
+
+
+def _covered_rejects(rows: list[int], act: int, added: tuple[tuple[int, int], ...]) -> bool:
+    """True if some removable set holds an edge f with hi(f) above every
+    added edge's hi, the larger endpoint degree.
+
+    Such a set's key starts with a pair below every added edge's pair (see
+    :func:`_hi`), so its key is smaller than that of the added set and of
+    every set in its orbit under Aut(child), whose edges have the same hi.
+    So the canonical removal, the set of smallest key, lies outside that
+    orbit."""
+    degs = [r.bit_count() for r in rows]
+    h = max(_hi(degs, a, b) for a, b in added)
+    for a in range(act):
+        if degs[a] > h:
+            nb = rows[a]
+            while nb:
+                low = nb & -nb
+                b = low.bit_length() - 1
+                nb ^= low
+                # An edge with both ends above h is tried once, from its
+                # smaller end.
+                if (b > a or degs[b] <= h) and _removable_through(rows, a, b):
+                    return True
+    return False
+
+
 @dataclass(frozen=True)
 class _Tree:
     """One covered-universe walk: order ``n``, size cap ``m_hi``, the leaf
@@ -471,7 +613,7 @@ def _walk_covered(
     pop = queue.pop if frontier is None else queue.popleft
     while queue and (frontier is None or len(queue) < frontier):
         node = pop()
-        rows, act, m, _ = node
+        rows, act, m, _, _ = node
         survey.classes_seen += 1
         if class_budget is not None and survey.classes_seen > class_budget:
             raise SearchBudgetExceeded
@@ -480,9 +622,9 @@ def _walk_covered(
             leaf = Graph(act, tuple(rows))
             if keep.passes(leaf):
                 survey.survivors.append((act, leaf.adj))
-        queue.extend(
-            _accepted_children(node, _covered_children(rows, act, m, tree), _canonical_removal)
-        )
+        queue.extend(_accepted_children(
+            node, _covered_children(rows, act, m, tree), _canonical_removal, _covered_rejects
+        ))
     return list(queue)
 
 
@@ -574,7 +716,7 @@ def _survey_covered(
     split = nworkers > 1 and class_budget is None
     try:
         pending = _walk_covered(
-            tree, ([], 0, 0, 0), survey, class_budget,
+            tree, ([], 0, 0, 0, ()), survey, class_budget,
             frontier=_TASKS_PER_WORKER * nworkers if split else None,
         )
     except SearchBudgetExceeded:

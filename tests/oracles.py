@@ -303,3 +303,47 @@ def reference_canonize(n: int, edges) -> tuple[int, list[int]]:
         return 0, []
     node([list(range(n))], [])
     return state["best"]
+
+
+def plain_accepted_children(node, moves, removal_of, canonize):
+    """The augmentation trees' acceptance step with no rejection before
+    canonization: drop a move whose child rows repeat an earlier one,
+    canonize every other child, drop a sibling with an earlier code, then
+    keep the child iff undoing its canonical removal gives a graph with the
+    code of ``node``.
+
+    ``node`` starts ``(rows, act, m, code)``; ``moves`` and ``removal_of``
+    are a tree's own; ``canonize(order, rows)`` returns ``(code, labeling,
+    ...)`` with ``labeling[pos]`` the vertex at ``pos``. Yields ``(rows,
+    act, m, code)`` for each accepted child, in move order."""
+    rows, _, _, code = node[:4]
+    degrees = sorted(r.bit_count() for r in rows)
+    seen_rows = set()
+    seen_codes = set()
+    for child, new_act, new_m, added in moves:
+        key = tuple(child)
+        if key in seen_rows:
+            continue
+        seen_rows.add(key)
+        ccode, perm = canonize(new_act, key)[:2]
+        if (new_act, ccode) in seen_codes:
+            continue
+        seen_codes.add((new_act, ccode))
+        sigma = [0] * new_act
+        for pos, vert in enumerate(perm):
+            sigma[vert] = pos
+        removal = removal_of(child, new_act, tuple(sigma))
+        if frozenset(removal) != frozenset(added):
+            back = child[:]
+            for a, b in removal:
+                back[a] &= ~(1 << b)
+                back[b] &= ~(1 << a)
+            # Drop the vertices the removal isolated, keeping the order.
+            keep = [v for v in range(new_act) if back[v]]
+            back_rows = tuple(
+                sum(1 << i for i, u in enumerate(keep) if (back[v] >> u) & 1) for v in keep
+            )
+            back_degrees = sorted(r.bit_count() for r in back_rows)
+            if back_degrees != degrees or canonize(len(keep), back_rows)[0] != code:
+                continue
+        yield child, new_act, new_m, ccode

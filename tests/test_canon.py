@@ -189,15 +189,40 @@ def test_symmetric_worst_cases_complete_quickly():
         assert canonical_code(g.relabel(tuple(reversed(range(g.order))))) == code
 
 
+def _canon_corpus():
+    rng = random.Random(13)
+    cases = [random_graph(rng, rng.randint(0, 11), rng.random()) for _ in range(300)]
+    return cases + [complete(10), empty(10), *_symmetric_corpus()]
+
+
 def test_canonize_matches_reference_loops():
     # Skipping stable splitters and caching orbits must leave the search
     # tree, and so the code and the labeling, exactly as the plain loops.
-    rng = random.Random(13)
-    cases = [random_graph(rng, rng.randint(0, 11), rng.random()) for _ in range(300)]
-    cases += [complete(10), empty(10), *_symmetric_corpus()]
-    for g in cases:
-        code, perm = _canonize(g)
+    for g in _canon_corpus():
+        code, perm, _ = _canonize(g)
         assert (code, perm) == reference_canonize(g.order, g.edges()), g.edges()
+
+
+def test_canonize_generators_are_automorphisms():
+    # The search skips moves by these generators, so each must map every
+    # edge to an edge; the symmetric graphs must yield some.
+    with_gens = 0
+    for g in _canon_corpus():
+        _, _, gens = _canonize(g)
+        with_gens += bool(gens)
+        for gamma in gens:
+            assert sorted(gamma) == list(range(g.order)) and list(gamma) != sorted(gamma)
+            assert g.relabel(gamma) == g, (g.edges(), gamma)
+    assert with_gens > 20
+
+
+def test_canonical_labeling_respects_degree_order():
+    # deg u > deg v puts u at a smaller position; the augmentation trees'
+    # cheap rejection rests on this.
+    for g in _canon_corpus():
+        _, perm, _ = _canonize(g)
+        degs = [g.degree(v) for v in perm]
+        assert degs == sorted(degs, reverse=True), g.edges()
 
 
 # SHA-256 of every (code, labeling) over _frozen_corpus(). Canonical codes

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
 from pancyclic import (
     BUDGET_NOTE,
+    Graph,
     GraphError,
     GraphFilter,
     a_graph,
@@ -34,7 +36,7 @@ from pancyclic import (
 )
 from pancyclic import search
 from pancyclic.search import WORKERS_ENV
-from oracles import canonical_removal, iter_labeled_graphs
+from oracles import canonical_removal, iter_labeled_graphs, plain_accepted_children
 
 CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044)  # graphs on 0..7 vertices
 # OEIS A008406: graphs on 7 vertices with 0..21 edges
@@ -77,6 +79,14 @@ def test_generator_filtered_count_matches_naive_oracle():
             if holds(g):
                 want.add(canonical_code(g).bits)
         assert len(got) == len(set(got)) and set(got) == want, n
+
+
+def test_generator_yields_canonical_graphs():
+    # Each yielded graph is read off its tree node's canonical code, padded
+    # with isolated vertices; it must be the canonical form of itself.
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            assert canonical_graph(g) == g, emit_graph6(g)
 
 
 def test_generator_size_range():
@@ -177,6 +187,60 @@ def test_canonical_removal_matches_brute_force():
         assert frozenset(got) == canonical_removal(n, edges, sigma), (n, edges, sigma)
         sizes.add(len(got))
     assert sizes == {1, 2, 3}
+
+
+def test_pruned_step_accepts_the_plain_steps_classes(monkeypatch):
+    # At every node of both trees, the acceptance step with orbit pruning
+    # alone and with the cheap rejection too must accept the classes the
+    # unpruned step accepts. The cheap rejection may reach a class through
+    # another move, with other labels, so codes are compared, not rows.
+    canonize = search._canonize
+    calls = Counter()
+    which = ["pruned"]
+
+    def counted(g):
+        calls[which[0]] += 1
+        return canonize(g)
+
+    def plain_canonize(order, rows):
+        calls["plain"] += 1
+        return canonize(Graph(order, rows))
+
+    def never(rows, act, added):
+        return False
+
+    monkeypatch.setattr(search, "_canonize", counted)
+    universes = []
+    for n, m_hi, floor in ((5, 10, 2), (6, 15, 3), (7, 21, 2), (8, 13, 2), (8, 16, 3), (8, 20, 4)):
+        tree = search._Tree(n, m_hi, GraphFilter(min_degree=floor))
+        universes.append((
+            lambda rows, act, m, tree=tree: search._covered_children(rows, act, m, tree),
+            search._canonical_removal, search._covered_rejects,
+        ))
+    for n in range(1, 7):
+        universes.append((
+            lambda rows, act, m, n=n: search._edge_children(rows, act, m, n),
+            search._last_edge, search._edge_rejects,
+        ))
+    nodes = 0
+    for moves_of, removal_of, rejects in universes:
+        stack = [([], 0, 0, 0, ())]
+        while stack:
+            node = stack.pop()
+            rows, act, m, _, _ = node
+            nodes += 1
+            want = {(c[1], c[3]) for c in plain_accepted_children(
+                node, moves_of(rows, act, m), removal_of, plain_canonize)}
+            which[0] = "orbits"
+            orbits = list(search._accepted_children(node, moves_of(rows, act, m), removal_of, never))
+            which[0] = "pruned"
+            pruned = list(search._accepted_children(node, moves_of(rows, act, m), removal_of, rejects))
+            for got in (orbits, pruned):
+                codes = [(c[1], c[3]) for c in got]
+                assert len(codes) == len(set(codes)) and set(codes) == want, rows
+            stack.extend(pruned)
+    assert nodes > 1000
+    assert calls["pruned"] < calls["orbits"] < calls["plain"], calls
 
 
 # -- minimum-size searches -------------------------------------------------------
