@@ -31,6 +31,16 @@ test reads a subset of the same residual graph, and every path it can
 complete lies in the block. So it finds the same witness, expands at most
 as many nodes, and under a budget can only turn an unknown into a decision.
 Path probes (``_Probes.path``) search the whole graph.
+
+A cycle found for one pair is a witness for more: a cycle of length L
+through ab passes through L edges, and proves L present for each of them.
+``_Probes`` records it for every edge on it and answers a later probe of
+any of those pairs with it, with no DFS and no budget spent; ``stats``
+counts these as ``reused``. Absence is still proved only by an exhausted
+DFS or a block certificate, so every spectrum and verdict stays exact. A
+check asks for its pairs in the same order either way and a probed pair
+costs the same nodes, so a budgeted check has at least as much budget left
+at every point as it would without reuse, and decides at least as much.
 """
 
 from __future__ import annotations
@@ -214,9 +224,20 @@ def _probe(
 class _Probes:
     """Probe state of one check: its graph, one node budget shared by every
     probe, the probe count, the count of cycle probes certified without a
-    DFS, each edge's block (computed on the first cycle probe) and each
-    probed edge's block-without-edge adjacency, built on first use. Every
-    DFS goes through ``_probe``."""
+    DFS, the count of cycle pairs reused from an earlier cycle, each edge's
+    block (computed on the first cycle probe), each probed edge's
+    block-without-edge adjacency, built on first use, and the table of
+    found cycles. Every DFS goes through ``_probe``.
+
+    Witness reuse: each cycle a DFS finds, of length L, is recorded for
+    every edge on it (the first cycle recorded for a pair is kept), and a
+    later cycle probe of a recorded pair returns it, turned to run from a
+    to b, without a DFS. A cycle of length L through e proves (e, L)
+    present, and an absent length still needs an exhausted DFS, so results
+    stay exact; a reused pair costs no node and a probed one what it costs
+    without reuse, so a budget never runs out sooner (module docstring).
+    The table holds tuples, so a caller's witness list cannot change it,
+    and it lives as long as the check: one graph's (edge, length) pairs."""
 
     def __init__(self, g: Graph, budget: int | None = None):
         if budget is not None and budget < 0:
@@ -226,9 +247,12 @@ class _Probes:
         self.shared = _Budget(budget)
         self.probes = 0
         self.certified = 0
+        self.reused = 0
         self.t0 = time.monotonic()
         self._blocks: dict[Edge, Block] | None = None
         self._without: dict[Edge, tuple[int, ...]] = {}
+        # (u, v, length) with u < v -> a cycle through uv, as a vertex tuple
+        self._cycles: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
     def path(
         self, a: int, b: int, length: int, required: tuple[int, int] | None = None
@@ -238,10 +262,30 @@ class _Probes:
         return _probe(self.g.adj, a, b, length, self.shared, required)
 
     def cycle(self, a: int, b: int, length: int) -> tuple[bool | None, list[int] | None]:
-        """A cycle of ``length`` through edge ab: an (a, b)-path of
-        ``length - 1`` edges in ab's block without ab. Certified absent,
-        with no DFS and no budget spent, when ``length`` exceeds the
-        block's order or is odd in a bipartite block."""
+        """A cycle of ``length`` through edge ab, as an (a, b)-path of
+        ``length - 1`` edges without ab: a recorded cycle when one is
+        known, else the result of :meth:`_search`, whose cycle is then
+        recorded for every edge on it."""
+        known = self._cycles.get((a, b, length) if a < b else (b, a, length))
+        if known is not None:
+            self.reused += 1
+            i = known.index(a)
+            if known[i - 1] == b:  # the ring runs a, ..., b as recorded
+                return True, [*known[i:], *known[:i]]
+            return True, [*known[i::-1], *known[:i:-1]]
+        found, witness = self._search(a, b, length)
+        if found:
+            ring = tuple(witness)
+            record = self._cycles.setdefault
+            for x, y in zip(ring, ring[1:] + ring[:1]):
+                record((x, y, length) if x < y else (y, x, length), ring)
+        return found, witness
+
+    def _search(self, a: int, b: int, length: int) -> tuple[bool | None, list[int] | None]:
+        """Cycle probe by DFS: an (a, b)-path of ``length - 1`` edges in
+        ab's block without ab. Certified absent, with no DFS and no budget
+        spent, when ``length`` exceeds the block's order or is odd in a
+        bipartite block."""
         if self._blocks is None:
             self._blocks = edge_blocks(self.g)
         key = Edge.of(a, b)
@@ -281,6 +325,7 @@ class _Probes:
         stats = {
             "probes": self.probes,
             "certified": self.certified,
+            "reused": self.reused,
             "elapsed_ms": int((time.monotonic() - self.t0) * 1000),
         }
         if self.budget is not None:

@@ -350,8 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="edge-pancyclic, vertex-pancyclic and pancyclic only: "
                         "total DFS node cap per checked graph, shared by all of "
                         "its (edge, length) probes; lengths certified absent by "
-                        "the edge's block spend none, and stats.probes counts "
-                        "DFS probes only; default unlimited")
+                        "the edge's block spend none, nor do pairs answered by "
+                        "a cycle found earlier in the check (stats.reused), and "
+                        "stats.probes counts DFS probes only; default unlimited")
     p.add_argument("--witnesses", action="store_true", default=None,
                    help="edge-pancyclic only: include one cycle per (edge, length)")
     p.add_argument("--kappa", type=int,
@@ -365,8 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int,
                    help="total DFS node cap per graph, shared by all of its "
                         "(edge, length) probes; lengths certified absent by the "
-                        "edge's block spend none; a stopped spectrum lists only "
-                        "confirmed lengths and exits 3")
+                        "edge's block spend none, nor do pairs answered by a "
+                        "cycle found earlier for the graph; a stopped spectrum "
+                        "lists only confirmed lengths and exits 3")
     p.set_defaults(func=_run_spectrum)
 
     p = sub.add_parser("canon", help="canonical graph6 and hex code for stdin graphs")
@@ -396,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest diameter over edge-pancyclic graphs",
         description="Largest diameter over edge-pancyclic graphs of one order. "
                     "Order 9 has no constructed witness, so auto and --witness "
-                    "mode silently run the exhaustive walk there, with no time "
-                    "estimate.",
+                    "mode silently run the exhaustive walk there, which takes "
+                    "a few minutes.",
     )
     q.add_argument("--order", type=int, required=True)
     mode = q.add_mutually_exclusive_group()
@@ -421,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true", default=None,
                    help="thm6: search instead of constructing a witness; "
                         "without it, order 9 has no constructed witness and "
-                        "silently runs the exhaustive walk, with no time estimate")
+                        "silently runs the exhaustive walk, which takes a few "
+                        "minutes")
     p.add_argument("--budget", type=int,
                    help="one total DFS node cap for thm5/hk-props, P5 spectrum "
                         "included; a check it stops exits 3; default unlimited")

@@ -5,12 +5,18 @@ internals: permutation search for isomorphism, exhaustive DFS for cycles,
 subset deletion for connectivity, and the cycle index of the pair action
 for isomorphism-class counts. Slow but obviously right. Functions take
 plain (order, edge list) data so they cannot silently reuse library logic.
+The two exceptions are the reference versions of a library step with one
+shortcut left out, kept to show that the shortcut changes no result:
+``plain_accepted_children`` (no rejection before canonization) and
+``PlainProbes`` (no cycle-witness reuse).
 """
 
 from __future__ import annotations
 
 import itertools
 from math import factorial
+
+from pancyclic import checks
 
 
 def normalized(edges) -> set[tuple[int, int]]:
@@ -347,3 +353,12 @@ def plain_accepted_children(node, moves, removal_of, canonize):
             if back_degrees != degrees or canonize(len(keep), back_rows)[0] != code:
                 continue
         yield child, new_act, new_m, ccode
+
+
+class PlainProbes(checks._Probes):
+    """The probe engine with no cycle-witness reuse: every cycle probe goes
+    to the block certificates and the block-restricted DFS, as if no cycle
+    had been found before it."""
+
+    def cycle(self, a, b, length):
+        return self._search(a, b, length)

@@ -117,9 +117,19 @@ def test_criterion_01_minimum_size_per_order(min_sizes):
         values = ", ".join(str(outs[n].value) for n in range(4, 10))
         c["detail"] = (
             f"minimum sizes for orders 4..9 = {values} = 2n-2, all exhaustive "
-            f"({elapsed:.1f}s <= 600s); orders 10..12 are a documented "
-            "external-stream run (see README)"
+            f"({elapsed:.1f}s <= 600s); orders 10 and 11 are pinned by their own "
+            "test, order 12 is a built-in run (see README)"
         )
+
+
+def test_minimum_size_orders_10_and_11():
+    # f(10) = 18 and f(11) = 20, past the paper's small orders: 2n - 2 still,
+    # with every extremal class found by the exhaustive built-in search.
+    expected = {10: (18, ["IrqcSLOKG", "I}iSSIA_W"]), 11: (20, ["J}iSSIA_S@_"])}
+    for n, (value, witnesses) in expected.items():
+        out = min_size_edge_pancyclic(n)
+        assert out.exhaustive, f"order {n}: search not exhaustive"
+        assert (out.value, out.witnesses) == (value, witnesses), f"order {n}"
 
 
 def test_criterion_02_small_order_censuses(small_censuses):

@@ -18,6 +18,7 @@ from pancyclic import (
     edge_cycle_lengths,
     empty,
     enumerate_graphs,
+    families,
     g_ring,
     has_triangle_cover,
     is_edge_pancyclic,
@@ -33,7 +34,7 @@ from pancyclic import (
     GraphFilter,
 )
 from conftest import random_connected_graph, random_graph
-from oracles import all_simple_paths_between, edge_spectrum, normalized
+from oracles import PlainProbes, all_simple_paths_between, edge_spectrum, normalized
 from test_graphs import graphs
 
 
@@ -229,12 +230,14 @@ class _CountingProbe:
         self.calls = 0
         self.nodes = 0
         self.seen = []  # (a, b, path length) of every call
+        self.marks = []  # nodes expanded before every call
         self._probe = checks._probe
         monkeypatch.setattr(checks, "_probe", self)
 
     def __call__(self, adj, a, b, length, budget, required=None):
         self.calls += 1
         self.seen.append((a, b, length))
+        self.marks.append(self.nodes)
         return self._probe(adj, a, b, length, _CountingBudget(self, budget), required)
 
 
@@ -270,15 +273,32 @@ def test_probe_count_matches_probe_calls(monkeypatch):
         assert rep.stats["probes"] == counter.calls - before
 
 
+def battery_nodes(monkeypatch, k=3):
+    """The DFS nodes that the unbudgeted battery for ``k`` expands: the
+    total, and the nodes expanded before and after the probe of P5's
+    spectrum at length 3k, the first length past P5's own need."""
+    with monkeypatch.context() as m:
+        counter = _CountingProbe(m)
+        assert verify_h_block_properties(k).verdict is True
+    names = families.h_block(k).labels
+    i = counter.seen.index((names["v"], names["u"], 3 * k - 1))
+    marks = counter.marks + [counter.nodes]
+    return counter.nodes, marks[i], marks[i + 1]
+
+
 def test_block_battery_budget_covers_p5_spectrum(monkeypatch):
+    total, tail_start, tail_end = battery_nodes(monkeypatch)
+    assert tail_start + 1 < tail_end  # the probe at length 9 expands nodes
     counter = _CountingProbe(monkeypatch)
-    rep = verify_h_block_properties(3, budget=4520)
-    assert counter.nodes <= 4520
+    # A budget one node short stops the battery after P5's spectrum.
+    rep = verify_h_block_properties(3, budget=total - 1)
+    assert counter.nodes <= total - 1
     assert rep.verdict is None
     assert rep.stats["budget_left"] == 0
     assert "undecided" in rep.evidence and "failed" not in rep.evidence
+    assert "P5" in rep.evidence
     # A stop inside the spectrum tail (lengths 3k .. 6k-4) leaves P5 undecided.
-    rep = verify_h_block_properties(3, budget=2840)
+    rep = verify_h_block_properties(3, budget=(tail_start + tail_end) // 2)
     assert rep.verdict is None
     assert rep.evidence["undecided"] == {"property": "P5", "length": 9}
     assert "P4" in rep.evidence and "P5" not in rep.evidence
@@ -289,9 +309,10 @@ def test_block_battery_budget_covers_p5_spectrum(monkeypatch):
 
 class _UnmaskedProbes(checks._Probes):
     """The unpruned engine, the oracle for the block certificates: every
-    cycle probe runs the DFS on the whole graph without the edge."""
+    cycle probe that no recorded cycle answers runs the DFS on the whole
+    graph without the edge."""
 
-    def cycle(self, a, b, length):
+    def _search(self, a, b, length):
         self.probes += 1
         return checks._probe(self.g.without_edge(a, b).adj, a, b, length - 1, self.shared)
 
@@ -363,9 +384,20 @@ def test_block_certificates_match_unmasked_probes(monkeypatch):
 
 def test_certified_lengths_never_reach_the_dfs(monkeypatch):
     counter = _CountingProbe(monkeypatch)
-    # Cycle lengths that must still be probed, per edge; all others are
-    # certified: odd lengths in a bipartite block, every length through a
-    # bridge, and lengths above the order of the edge's block.
+    reused = []  # each cycle pair that a recorded cycle answered
+
+    class Logged(checks._Probes):
+        def cycle(self, a, b, length):
+            before = self.reused
+            out = super().cycle(a, b, length)
+            if self.reused > before:
+                reused.append((Edge.of(a, b), length))
+            return out
+
+    monkeypatch.setattr(checks, "_Probes", Logged)
+    # Cycle lengths that must still be probed or reused, per edge; all
+    # others are certified: odd lengths in a bipartite block, every length
+    # through a bridge, and lengths above the order of the edge's block.
     cases = [
         (K34, {e: {4, 6} for e in K34.edges()}),
         (TWO_TRIANGLES_BRIDGED,
@@ -373,11 +405,12 @@ def test_certified_lengths_never_reach_the_dfs(monkeypatch):
         (K4_C4, {e: {3, 4} if e.v <= 3 else {4} for e in K4_C4.edges()}),
     ]
     for g, probed in cases:
-        start = counter.calls
+        start, reused_start = counter.calls, len(reused)
         spec = cycle_spectrum(g)
         assert spec.complete
-        got = sorted((Edge.of(a, b), length + 1) for a, b, length in counter.seen[start:])
-        assert got == sorted((e, p) for e, ps in probed.items() for p in ps)
+        got = [(Edge.of(a, b), length + 1) for a, b, length in counter.seen[start:]]
+        got += reused[reused_start:]
+        assert sorted(got) == sorted((e, p) for e, ps in probed.items() for p in ps)
         for check in _CHECKS:
             rep = check(g, None)
             ref = unmasked(monkeypatch, lambda: check(g, None))
@@ -387,6 +420,80 @@ def test_certified_lengths_never_reach_the_dfs(monkeypatch):
     start = counter.calls
     assert cycle_spectrum(path(6), edges=[(0, 1)]).lengths_by_edge == {Edge(0, 1): frozenset()}
     assert counter.calls == start
+
+
+def plain(monkeypatch, run):
+    with monkeypatch.context() as m:
+        m.setattr(checks, "_Probes", PlainProbes)
+        return run()
+
+
+def assert_cycle_witness(g, a, b, length, walk):
+    """``walk`` runs from a to b and closes, by edge ab, a simple cycle of ``length``."""
+    assert len(walk) == len(set(walk)) == length
+    assert (walk[0], walk[-1]) == (a, b)
+    assert all(g.has_edge(x, y) for x, y in zip(walk, walk[1:] + walk[:1]))
+
+
+def without_witnesses(evidence):
+    return {key: val for key, val in evidence.items() if key != "witnesses"}
+
+
+def test_witness_reuse_matches_plain_probes(monkeypatch):
+    corpus = list(NAMED) + [wheel(30), q_graph(25)]
+    for n in range(3, 8):
+        corpus += enumerate_graphs(n, graph_filter=GraphFilter(connectivity=1))
+    reused = 0
+    for g in corpus:
+        # Every pair in the order is_edge_pancyclic asks them, each witness
+        # checked, against the plain engine's answers.
+        probes, ref = checks._Probes(g), PlainProbes(g)
+        for e in g.edges():
+            for length in range(3, g.order + 1):
+                found, walk = probes.cycle(e.u, e.v, length)
+                assert found == ref.cycle(e.u, e.v, length)[0]
+                if found:
+                    assert_cycle_witness(g, e.u, e.v, length, walk)
+        assert probes.probes + probes.reused == ref.probes
+        assert probes.certified == ref.certified
+        reused += probes.reused
+        assert cycle_spectrum(g) == plain(monkeypatch, lambda: cycle_spectrum(g))
+        # Unbudgeted vertex-pancyclicity of q_graph(25) takes about 30 s (75 s
+        # without reuse), so the two large graphs run it under budgets only.
+        unbudgeted = _CHECKS if g.order < 25 else (_CHECKS[0], _CHECKS[2])
+        for check in unbudgeted:
+            got = check(g, None)
+            ref = plain(monkeypatch, lambda: check(g, None))
+            assert got.verdict == ref.verdict
+            assert without_witnesses(got.evidence) == without_witnesses(ref.evidence)
+            assert got.stats["probes"] + got.stats["reused"] == ref.stats["probes"]
+            assert got.stats["certified"] == ref.stats["certified"]
+            assert ref.stats["reused"] == 0
+        for check in _CHECKS:
+            for budget in (5, 40, 300):
+                got = check(g, budget)
+                ref = plain(monkeypatch, lambda: check(g, budget))
+                assert got.stats["budget_left"] >= ref.stats["budget_left"]
+                if ref.verdict is not None:  # decided there, decided alike here
+                    assert got.verdict == ref.verdict
+                    assert without_witnesses(got.evidence) == without_witnesses(ref.evidence)
+        for budget in (5, 40, 300):
+            ref = plain(monkeypatch, lambda: cycle_spectrum(g, budget=budget))
+            if ref.complete:
+                assert cycle_spectrum(g, budget=budget) == ref
+    assert reused > 0
+
+
+def test_recorded_cycles_ignore_caller_edits():
+    probes = checks._Probes(wheel(6))
+    found, walk = probes.cycle(0, 1, 6)
+    assert found and probes.reused == 0
+    walk[:] = [0, 0, 0, 0, 0, 1]
+    for a, b in ((1, 0), (0, 1)):
+        found, again = probes.cycle(a, b, 6)
+        assert found
+        assert_cycle_witness(wheel(6), a, b, 6, again)
+    assert probes.reused == 2
 
 
 def test_budget_spectrum_incomplete_flag():

@@ -17,6 +17,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 from conftest import random_graph
+from test_checks import battery_nodes
 
 import pancyclic
 from pancyclic import (
@@ -480,10 +481,12 @@ def test_verify_fast_claims(monkeypatch, capsys):
         (row,) = envelopes(out)
         assert row["result"]["pass"] is True
         assert all(c["pass"] for c in row["result"]["claims"])
-    # A budget that stops the check is "undecided" (3), not "claim false" (1).
+    # A budget that stops the check is "undecided" (3), not "claim false" (1);
+    # one node short of the unbudgeted battery stops the block battery.
+    short = battery_nodes(monkeypatch)[0] - 1
     for argv in (
         ["verify", "thm5", "--k", "3", "--budget", "100"],
-        ["verify", "hk-props", "--k", "3", "--budget", "4520"],
+        ["verify", "hk-props", "--k", "3", "--budget", str(short)],
     ):
         code, out, _ = run_cli(monkeypatch, capsys, argv)
         assert code == 3, argv
