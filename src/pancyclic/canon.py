@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, graph6_from_bits
+from .graphs import Graph, graph6_from_bits
 
 
 @dataclass(frozen=True)

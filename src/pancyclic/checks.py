@@ -52,7 +52,6 @@ from dataclasses import dataclass, field
 from . import families
 from .graphs import (
     Block,
-    DistanceLayers,
     Edge,
     Graph,
     GraphError,

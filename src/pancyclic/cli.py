@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Largest diameter over edge-pancyclic graphs of one order. "
                     "Order 9 has no constructed witness, so auto and --witness "
                     "mode silently run the exhaustive walk there, which takes "
-                    "a few minutes.",
+                    "about a minute.",
     )
     q.add_argument("--order", type=int, required=True)
     mode = q.add_mutually_exclusive_group()
@@ -423,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true", default=None,
                    help="thm6: search instead of constructing a witness; "
                         "without it, order 9 has no constructed witness and "
-                        "silently runs the exhaustive walk, which takes a few "
-                        "minutes")
+                        "silently runs the exhaustive walk, which takes about "
+                        "a minute")
     p.add_argument("--budget", type=int,
                    help="one total DFS node cap for thm5/hk-props, P5 spectrum "
                         "included; a check it stops exits 3; default unlimited")

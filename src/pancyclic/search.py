@@ -1,23 +1,28 @@
 """Isomorph-free exhaustive generation and the extremal searches built on it.
 
 Two canonical-augmentation trees in McKay's sense share one acceptance step,
-:func:`_accepted_children`: a child is kept iff undoing its canonically
-chosen last move returns its parent, so every isomorphism class appears
-exactly once, with no global seen-set. A node is a graph with no isolated
-vertex on its active vertices; a move may also activate the lowest unused
-ones, which are isolated and so interchangeable.
+:func:`_accepted_children`: a child is kept iff undoing its canonical
+removal returns its parent, so every isomorphism class appears exactly
+once, with no global seen-set. A node is a graph with no isolated vertex on
+its active vertices; a move may also activate the lowest unused ones, which
+are isolated and so interchangeable. A tree's universe names its candidate
+edge sets and which of them are removable; in both trees the canonical
+removal is the removable set of largest key under the canonical labeling
+(:func:`_canonical_removal`).
 
-* :func:`enumerate_graphs` adds one edge and removes the edge with the
-  largest relabeled pair. Every edge is removable, so the tree reaches every
-  graph with no isolated vertex on k <= n vertices; padding each with n - k
-  isolated vertices gives every graph of order n once. Good up to n = 12 or so.
+* :func:`enumerate_graphs` adds one edge; its candidate sets are the single
+  edges, all removable, so it removes the edge with the largest relabeled
+  pair. The tree reaches every graph with no isolated vertex on k <= n
+  vertices; padding each with n - k isolated vertices gives every graph of
+  order n once. Good up to n = 12 or so.
 
 * :func:`enumerate_covered_graphs` adds one triangle (creating 1..3 missing
   edges) over the universe of graphs in which every edge lies in a
-  triangle. Every search target here (triangle cover, edge-pancyclic) lives
-  inside that universe, which is exponentially sparser than the
-  unrestricted one, and that is what makes order 10 and 11 censuses
-  feasible in pure Python.
+  triangle. Its candidate sets are the nonempty edge sets inside one
+  triangle, removable when every other edge stays in a triangle. Every
+  search target here (triangle cover, edge-pancyclic) lives inside that
+  universe, which is exponentially sparser than the unrestricted one, and
+  that is what makes order 10 to 12 searches feasible in pure Python.
 
 Why the triangle tree covers its universe: every nonempty covered graph C
 has a removable nonempty edge subset E inside one triangle with C - E still
@@ -38,17 +43,15 @@ exact, and every class, count and witness is the same as without them:
   maps a move to a move with an isomorphic child, so a move in the orbit of
   an earlier one is skipped: the plain step would have dropped its child as
   a repeated code, or rejected it as it rejected the earlier one.
-* Degree pre-filter. Canon places a vertex of higher degree first, so if
-  hi(e), the larger endpoint degree of edge e, exceeds hi(f), then e's
-  relabeled pair comes before f's. The last edge of the edge tree, the one
-  of largest key, therefore has the smallest hi of all edges, and a child
-  whose added edge has a larger hi is rejected. In the triangle tree, a
-  removable set holding an edge whose hi exceeds that of every added edge
-  has a smaller key than the added set and than every set in its orbit, so
-  the canonical removal is not in that orbit and the child is rejected. If
-  the child's class has this parent, another move of the parent adds a set
-  that an isomorphism maps onto the canonical removal, passes the filter,
-  and reaches the class.
+* Degree pre-filter (:func:`_rejects`). Canon places a vertex of higher
+  degree first, so if hi(e), the larger endpoint degree of edge e, exceeds
+  hi(f), then e's relabeled pair comes before f's. Let h be the largest hi
+  of an added edge. A removable set whose edges all have hi below h has a
+  larger key than the added set and than every set in its orbit, since
+  each of those holds an edge of hi h; so the canonical removal is not in
+  that orbit and the child is rejected. If the child's class has this
+  parent, another move of the parent adds a set that an isomorphism maps
+  onto the canonical removal, passes the filter, and reaches the class.
 
 Every covered-tree search is one :class:`_Tree` spec, one walk and one
 :func:`_extremal` reduction; :func:`_leaf_filter` is the one place where
@@ -171,9 +174,10 @@ def resolve_workers(workers: int | None = None) -> int:
 
 # rows, active vertices, size, canonical code, automorphism generators
 _Node = tuple[list[int], int, int, int, tuple[tuple[int, ...], ...]]
-_Move = tuple[list[int], int, int, tuple[tuple[int, int], ...]]  # rows, act, size, added edges
-_Removal = Callable[[list[int], int, tuple[int, ...]], tuple[tuple[int, int], ...]]
-_Rejects = Callable[[list[int], int, tuple[tuple[int, int], ...]], bool]
+_Edges = tuple[tuple[int, int], ...]  # (a, b) pairs with a < b
+_Move = tuple[list[int], int, int, _Edges]  # rows, act, size, added edges
+_Sets = Callable[[list[int], int, int], Iterable[_Edges]]
+_Removable = Callable[[list[int], _Edges], bool]
 
 
 def _compact(rows: list[int], act: int) -> tuple[int, tuple[int, ...]]:
@@ -216,16 +220,18 @@ def _add_orbit(
 
 
 def _accepted_children(
-    node: _Node, moves: Iterable[_Move], removal_of: _Removal, rejects: _Rejects,
+    node: _Node, moves: Iterable[_Move], sets: _Sets, removable: _Removable,
 ) -> Iterator[_Node]:
     """The children of ``node`` among ``moves`` that McKay's test accepts,
     one per class, each with its canonical code and automorphism generators.
 
-    ``removal_of(rows, act, sigma)`` is the universe's canonical removal, and
-    a child is accepted iff undoing it gives a graph isomorphic to ``node``;
-    a parent other than ``node`` is told by its sorted degree sequence
-    (hence active count and size) before it is canonized. Two exact
-    rejections run before a child is canonized:
+    A universe is its moves and its removable sets: ``sets(rows, a, b)``
+    yields the candidate edge sets that hold edge ab, and ``removable(rows,
+    cand)`` tells whether the graph less ``cand`` is still in the universe.
+    A child is accepted iff undoing its :func:`_canonical_removal` gives a
+    graph isomorphic to ``node``; a parent other than ``node`` is told by its
+    sorted degree sequence (hence active count and size) before it is
+    canonized. Two exact rejections run before a child is canonized:
 
     * Orbit pruning. ``seen_moves``, the added edge sets met so far, is
       closed under the generators of ``node``, with every fresh vertex fixed.
@@ -233,18 +239,18 @@ def _accepted_children(
       whose child is isomorphic, so a move whose added set is in
       ``seen_moves`` repeats the class of the first move of its orbit. That
       move was canonized, and the plain step would have dropped this child
-      as a repeated code, or it was rejected by ``rejects``, which answers
-      alike on a whole orbit. The generators may span only a subgroup of
-      Aut(node); smaller orbits only skip fewer moves.
-    * ``rejects(rows, act, added)``, the universe's cheap test, is True only
-      if the child's canonical removal lies outside the orbit of ``added``
-      under Aut(child); it reads invariants of the child with ``added``
-      marked, so it answers alike on an orbit. A rejected child is not lost:
-      if undoing its canonical removal gives ``node``, an isomorphism from
-      that graph onto ``node`` turns the removal into a move of ``node``
-      whose added set is, up to isomorphism, the canonical removal, and
-      that move passes ``rejects``. So the class is accepted, possibly
-      through a later move with other labels.
+      as a repeated code, or it was rejected by :func:`_rejects`, which
+      answers alike on a whole orbit. The generators may span only a
+      subgroup of Aut(node); smaller orbits only skip fewer moves.
+    * :func:`_rejects`, the degree pre-filter, is True only if the child's
+      canonical removal lies outside the orbit of ``added`` under
+      Aut(child); it reads invariants of the child with ``added`` marked,
+      so it answers alike on an orbit. A rejected child is not lost: if
+      undoing its canonical removal gives ``node``, an isomorphism from that
+      graph onto ``node`` turns the removal into a move of ``node`` whose
+      added set is, up to isomorphism, the canonical removal, and that move
+      passes :func:`_rejects`. So the class is accepted, possibly through a
+      later move with other labels.
     """
     rows, act, _, code, gens = node
     degrees = sorted(r.bit_count() for r in rows)
@@ -255,7 +261,7 @@ def _accepted_children(
         if move in seen_moves:
             continue
         _add_orbit(seen_moves, move, gens, act)
-        if rejects(child, new_act, added):
+        if _rejects(child, new_act, added, sets, removable):
             continue
         ccode, perm, cgens = _canonize(Graph(new_act, tuple(child)))
         if (new_act, ccode) in seen_codes:
@@ -264,7 +270,7 @@ def _accepted_children(
         sigma = [0] * new_act
         for pos, vert in enumerate(perm):
             sigma[vert] = pos
-        removal = removal_of(child, new_act, tuple(sigma))
+        removal = _canonical_removal(child, new_act, tuple(sigma), sets, removable)
         if frozenset(removal) != move:
             back = child[:]
             for a, b in removal:
@@ -277,11 +283,85 @@ def _accepted_children(
         yield child, new_act, new_m, ccode, cgens
 
 
-def _hi(degs: list[int], a: int, b: int) -> int:
-    # The larger endpoint degree of edge ab. Canon labels a vertex of higher
-    # degree first, so hi(e) > hi(f) puts e's relabeled pair before f's.
-    da, db = degs[a], degs[b]
-    return da if da > db else db
+def _canonical_removal(
+    rows: list[int], act: int, sigma: tuple[int, ...], sets: _Sets, removable: _Removable,
+) -> _Edges:
+    """The canonical removal: of the removable candidate sets, the one with
+    the largest key, as ``(a, b)`` pairs with ``a < b`` in sorted order (the
+    orientation of the added edges that the walk compares it with).
+
+    A set's key is the sorted tuple of its relabeled pairs
+    ``(min(sigma[a], sigma[b]), max(sigma[a], sigma[b]))``; sigma is a
+    bijection, so distinct sets have distinct keys. A key starts with the
+    pair of the set's smallest edge, so every set whose smallest edge is e
+    has a larger key than every set whose smallest edge comes before e. So
+    the edges in descending key order, each followed by the sets whose
+    smallest edge it is in descending key order, list every candidate in
+    descending order, and the first removable one is the maximum.
+    """
+    perm = [0] * act
+    for v in range(act):
+        perm[sigma[v]] = v
+    # Edge keys (i, j), i < j, descending: i from the last label down, and
+    # for each i, j from the last label down.
+    for i in range(act - 2, -1, -1):
+        a = perm[i]
+        for j in range(act - 1, i, -1):
+            b = perm[j]
+            if not (rows[a] >> b) & 1:
+                continue
+            cands = []
+            for cand in sets(rows, *((a, b) if a < b else (b, a))):
+                key = []
+                for u, v in cand:
+                    su, sv = sigma[u], sigma[v]
+                    key.append((su, sv) if su < sv else (sv, su))
+                key.sort()
+                if key[0] == (i, j):
+                    cands.append((key, cand))
+            cands.sort(reverse=True)
+            for _, cand in cands:
+                if removable(rows, cand):
+                    return tuple(sorted(cand))
+    raise AssertionError("every nonempty graph of a universe has a removable set")
+
+
+def _rejects(
+    rows: list[int], act: int, added: _Edges, sets: _Sets, removable: _Removable,
+) -> bool:
+    """The degree pre-filter: True if some removable set has every edge's hi,
+    its larger endpoint degree, below h, the largest hi of an added edge.
+
+    Canon places a vertex of higher degree first, so hi(e) > hi(f) puts e's
+    relabeled pair before f's. Each set in the orbit of ``added`` under
+    Aut(child) has an edge of hi h, whose pair comes before the pair of
+    every edge of such a removable set; so that set's key, which starts with
+    its smallest pair, is larger than the key of every set in the orbit, and
+    the canonical removal, the set of largest key, lies outside the orbit.
+    """
+    degs = [r.bit_count() for r in rows]
+    h = 0
+    for a, b in added:
+        if degs[a] > h:
+            h = degs[a]
+        if degs[b] > h:
+            h = degs[b]
+    for a in range(act):
+        if degs[a] < h:
+            nb = rows[a] & -(2 << a)  # each edge once, from its smaller end
+            while nb:
+                bit = nb & -nb
+                b = bit.bit_length() - 1
+                nb ^= bit
+                if degs[b] < h:
+                    for cand in sets(rows, a, b):
+                        for u, v in cand:
+                            if degs[u] >= h or degs[v] >= h:
+                                break
+                        else:
+                            if removable(rows, cand):
+                                return True
+    return False
 
 
 # -- unrestricted generator: canonical augmentation by one edge -------------
@@ -302,63 +382,26 @@ def _edge_children(rows: list[int], act: int, m: int, n: int) -> Iterator[_Move]
         yield child, new_act, m + 1, ((u, v),)
 
 
-def _keyed_edges(rows: list[int], act: int, sigma: tuple[int, ...]) -> list[tuple[tuple, int, int]]:
-    # Each edge (a, b), a < b, with its relabeled pair as key, in key order.
-    keyed = []
-    for a in range(act):
-        ra, sa = rows[a], sigma[a]
-        for b in range(a + 1, act):
-            if (ra >> b) & 1:
-                sb = sigma[b]
-                keyed.append(((sa, sb) if sa < sb else (sb, sa), a, b))
-    keyed.sort()
-    return keyed
+def _edge_sets(rows: list[int], a: int, b: int) -> tuple[_Edges]:
+    # The edge tree's candidate sets through ab: the edge alone.
+    return (((a, b),),)
 
 
-def _last_edge(rows: list[int], act: int, sigma: tuple[int, ...]) -> tuple[tuple[int, int]]:
-    # The edge with the largest key; every edge is removable.
-    _, a, b = _keyed_edges(rows, act, sigma)[-1]
-    return ((a, b),)
-
-
-def _edge_rejects(rows: list[int], act: int, added: tuple[tuple[int, int], ...]) -> bool:
-    # The last edge has the largest key, hence the smallest hi of all edges;
-    # reject the added edge ab if some edge has a smaller hi than ab.
-    degs = [r.bit_count() for r in rows]
-    ((a, b),) = added
-    h = _hi(degs, a, b)
-    for u in range(act):
-        if degs[u] < h:
-            nb = rows[u]
-            while nb:
-                low = nb & -nb
-                if degs[low.bit_length() - 1] < h:
-                    return True
-                nb ^= low
-    return False
+def _always_removable(rows: list[int], cand: _Edges) -> bool:
+    # Every edge set leaves a graph.
+    return True
 
 
 def enumerate_graphs(
     n: int,
     size_range: tuple[int, int] | None = None,
     graph_filter: GraphFilter | None = None,
-    *,
-    stream: Iterable[str] | None = None,
 ) -> Iterator[Graph]:
     """Exactly one canonical representative per isomorphism class.
 
-    Built-in generation handles n <= 12; beyond that supply ``stream``, an
-    iterable of graph6 lines, which is parsed, order-checked, filtered and
-    deduplicated by canonical code.
-    """
-    if stream is not None:
-        yield from _filter_stream(n, stream, size_range, graph_filter)
-        return
+    Built-in generation handles n <= 12."""
     if not (0 <= n <= _BUILTIN_MAX_ORDER):
-        raise GraphError(
-            f"built-in enumeration supports 0 <= n <= {_BUILTIN_MAX_ORDER}; "
-            f"supply a graph6 stream for larger orders"
-        )
+        raise GraphError(f"built-in enumeration supports 0 <= n <= {_BUILTIN_MAX_ORDER}")
     lo, hi = size_range if size_range is not None else (0, n * (n - 1) // 2)
     nbits = n * (n - 1) // 2
     stack: list[_Node] = [([], 0, 0, 0, ())]
@@ -373,17 +416,13 @@ def enumerate_graphs(
                 yield g
         if m < hi:
             stack.extend(_accepted_children(
-                node, _edge_children(rows, act, m, n), _last_edge, _edge_rejects
+                node, _edge_children(rows, act, m, n), _edge_sets, _always_removable
             ))
 
 
-def _filter_stream(
-    n: int,
-    stream: Iterable[str],
-    size_range: tuple[int, int] | None,
-    graph_filter: GraphFilter | None,
-) -> Iterator[Graph]:
-    lo, hi = size_range if size_range is not None else (0, n * (n - 1) // 2)
+def _filter_stream(n: int, stream: Iterable[str]) -> Iterator[Graph]:
+    # The stream's graphs, parsed, order-checked and deduplicated by
+    # canonical code, as canonical graphs.
     seen: set[bytes] = set()
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
@@ -395,10 +434,6 @@ def _filter_stream(
             raise GraphError(f"stream line {lineno}: {exc}") from exc
         if g.order != n:
             raise GraphError(f"stream line {lineno}: order {g.order}, expected {n}")
-        if not (lo <= g.size <= hi):
-            continue
-        if graph_filter is not None and not graph_filter.passes(g):
-            continue
         cg = canonical_graph(g)
         key = bytes(emit_graph6(cg), "ascii")
         if key in seen:
@@ -410,7 +445,7 @@ def _filter_stream(
 # -- covered universe: canonical augmentation by triangle moves -------------
 
 
-def _covered_after_removal(rows: list[int], removed: tuple[tuple[int, int], ...]) -> bool:
+def _covered_after_removal(rows: list[int], removed: _Edges) -> bool:
     # Only edges incident to an endpoint of a removed edge can lose coverage.
     tmp = rows[:]
     touched = 0
@@ -432,99 +467,21 @@ def _covered_after_removal(rows: list[int], removed: tuple[tuple[int, int], ...]
     return True
 
 
-def _canonical_removal(rows: list[int], act: int, sigma: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """The canonical removal: of the nonempty edge sets inside one triangle
-    whose removal leaves every edge in a triangle, the one with the smallest
-    key, as ``(a, b)`` pairs with ``a < b`` in sorted order (the orientation
-    of the added edges that the walk compares it with).
-
-    A set's key is the sorted tuple of its relabeled pairs
-    ``(min(sigma[a], sigma[b]), max(sigma[a], sigma[b]))``; sigma is a
-    bijection, so distinct sets have distinct keys. Candidates are produced
-    in ascending key order and the first removable one is returned, so it is
-    the minimum. Every candidate has a smallest edge ``e``, and its other
-    edges lie in a triangle with ``e`` and have larger keys. Keys that start
-    with ``e`` sort before those that start with any later edge; among them
-    ``(e,)`` comes first, and for each second edge ``f`` in key order
-    ``(e, f)`` precedes every ``(e, f, g)``, which precede ``(e, f')`` for
-    ``f' > f``. So ``e`` in key order, then ``{e}``, then the pairs and
-    triples through ``e`` sorted by key, is every candidate in ascending
-    order.
-    """
-    for ke, a, b in _keyed_edges(rows, act, sigma):
-        common = rows[a] & rows[b]
-        if not common:
-            continue
-        e = ((a, b),)
-        if _covered_after_removal(rows, e):
-            return e
-        sa, sb = sigma[a], sigma[b]
-        # For each third vertex c: the other two edges of triangle abc whose
-        # keys exceed ke, as the sets {e, f} and {e, f, g}, keyed without e.
-        cands = []
-        while common:
-            low = common & -common
-            c = low.bit_length() - 1
-            common ^= low
-            sc = sigma[c]
-            ka = (sa, sc) if sa < sc else (sc, sa)
-            kb = (sb, sc) if sb < sc else (sc, sb)
-            fa = (a, c) if a < c else (c, a)
-            fb = (b, c) if b < c else (c, b)
-            if ka > ke:
-                cands.append(((ka,), (fa,)))
-            if kb > ke:
-                cands.append(((kb,), (fb,)))
-                if ka > ke:
-                    cands.append(((ka, kb) if ka < kb else (kb, ka), (fa, fb)))
-        cands.sort()
-        for _, rest in cands:
-            cand = tuple(sorted(e + rest))
-            if _covered_after_removal(rows, cand):
-                return cand
-    raise AssertionError("every nonempty covered graph has a removable subset")
-
-
-def _removable_through(rows: list[int], a: int, b: int) -> bool:
-    # Whether some removable set (see _canonical_removal) contains edge ab.
-    e = ((a, b),)
-    if _covered_after_removal(rows, e):
-        return True
+def _covered_sets(rows: list[int], a: int, b: int) -> Iterator[_Edges]:
+    # The nonempty edge sets inside one triangle that hold ab: {ab}, then for
+    # each common neighbour c, {ab, ac}, {ab, bc} and {ab, ac, bc}.
+    e = (a, b)
+    yield (e,)
     common = rows[a] & rows[b]
     while common:
         low = common & -common
         c = low.bit_length() - 1
         common ^= low
-        fa, fb = (a, c), (b, c)
-        for cand in (e + (fa,), e + (fb,), e + (fa, fb)):
-            if _covered_after_removal(rows, cand):
-                return True
-    return False
-
-
-def _covered_rejects(rows: list[int], act: int, added: tuple[tuple[int, int], ...]) -> bool:
-    """True if some removable set holds an edge f with hi(f) above every
-    added edge's hi, the larger endpoint degree.
-
-    Such a set's key starts with a pair below every added edge's pair (see
-    :func:`_hi`), so its key is smaller than that of the added set and of
-    every set in its orbit under Aut(child), whose edges have the same hi.
-    So the canonical removal, the set of smallest key, lies outside that
-    orbit."""
-    degs = [r.bit_count() for r in rows]
-    h = max(_hi(degs, a, b) for a, b in added)
-    for a in range(act):
-        if degs[a] > h:
-            nb = rows[a]
-            while nb:
-                low = nb & -nb
-                b = low.bit_length() - 1
-                nb ^= low
-                # An edge with both ends above h is tried once, from its
-                # smaller end.
-                if (b > a or degs[b] <= h) and _removable_through(rows, a, b):
-                    return True
-    return False
+        fa = (a, c) if a < c else (c, a)
+        fb = (b, c) if b < c else (c, b)
+        yield e, fa
+        yield e, fb
+        yield e, fa, fb
 
 
 @dataclass(frozen=True)
@@ -623,27 +580,23 @@ def _walk_covered(
             if keep.passes(leaf):
                 survey.survivors.append((act, leaf.adj))
         queue.extend(_accepted_children(
-            node, _covered_children(rows, act, m, tree), _canonical_removal, _covered_rejects
+            node, _covered_children(rows, act, m, tree), _covered_sets, _covered_after_removal
         ))
     return list(queue)
 
 
 def enumerate_covered_graphs(
-    n: int,
-    max_size: int,
-    *,
-    min_deg_final: int = 2,
-    size_lo: int = 0,
+    n: int, max_size: int, *, min_deg_final: int = 2
 ) -> Iterator[Graph]:
     """Every graph of order exactly ``n`` (no isolated vertices) in which each
-    edge lies in a triangle, with ``size_lo <= size <= max_size`` and minimum
+    edge lies in a triangle, with at most ``max_size`` edges and minimum
     degree at least ``min_deg_final``. One canonical representative per
     isomorphism class.
 
     ``min_deg_final`` is a floor on every yielded graph; it also prunes the
     walk. Each edge in a triangle already gives minimum degree 2, so the
     default of 2 filters nothing."""
-    tree = _Tree(n, max_size, GraphFilter(min_degree=min_deg_final), size_lo)
+    tree = _Tree(n, max_size, GraphFilter(min_degree=min_deg_final))
     survey, _ = _survey_covered(tree, workers=1)
     for act, rows in survey.survivors:
         yield canonical_graph(Graph(act, rows))
@@ -832,7 +785,7 @@ def min_size_edge_pancyclic(
     keep = _leaf_filter("edge-pancyclic", n)
     if stream is not None:
         classes, passing = 0, []
-        for classes, g in enumerate(_filter_stream(n, stream, None, None), start=1):
+        for classes, g in enumerate(_filter_stream(n, stream), start=1):
             if keep.passes(g):
                 passing.append(g)
         value, witnesses, by_size = _extremal(passing, keep, lambda g: g.size, min)

@@ -183,19 +183,30 @@ def iter_labeled_graphs(n: int):
         yield n, tuple(p for i, p in enumerate(pairs) if (mask >> i) & 1)
 
 
-def canonical_removal(n: int, edges, sigma) -> frozenset[tuple[int, int]]:
-    """The parent move of a covered graph, by exhaustion: over every triangle
-    and every nonempty subset of its edges whose removal leaves each
-    remaining edge in a triangle, the subset whose sorted list of relabeled
-    pairs (``sigma[v]`` is the new label of ``v``) is smallest."""
+def canonical_removal(n: int, edges, sigma, covered: bool = True) -> frozenset[tuple[int, int]]:
+    """The parent move of a graph, by exhaustion: of the candidate sets, the
+    one whose sorted list of relabeled pairs (``sigma[v]`` is the new label
+    of ``v``) is largest. With ``covered`` the candidates are the nonempty
+    subsets of a triangle's edges whose removal leaves each remaining edge in
+    a triangle; without it they are the single edges."""
     es = normalized(edges)
-    triangles = [
-        t for t in itertools.combinations(range(n), 3)
-        if {(t[0], t[1]), (t[0], t[2]), (t[1], t[2])} <= es
-    ]
+    if covered:
+        triangles = [
+            t for t in itertools.combinations(range(n), 3)
+            if {(t[0], t[1]), (t[0], t[2]), (t[1], t[2])} <= es
+        ]
+        subsets = [
+            subset
+            for a, b, c in triangles
+            for k in (1, 2, 3)
+            for subset in itertools.combinations(((a, b), (a, c), (b, c)), k)
+        ]
+    else:
+        subsets = [(e,) for e in es]
 
-    def covered(rest: set[tuple[int, int]]) -> bool:
-        return all(
+    def removable(subset) -> bool:
+        rest = es - set(subset)
+        return not covered or all(
             any((min(u, w), max(u, w)) in rest and (min(v, w), max(v, w)) in rest
                 for w in range(n) if w not in (u, v))
             for u, v in rest
@@ -206,14 +217,8 @@ def canonical_removal(n: int, edges, sigma) -> frozenset[tuple[int, int]]:
             (min(sigma[u], sigma[v]), max(sigma[u], sigma[v])) for u, v in subset
         ))
 
-    best = None
-    for a, b, c in triangles:
-        tri = ((a, b), (a, c), (b, c))
-        for k in (1, 2, 3):
-            for subset in itertools.combinations(tri, k):
-                if covered(es - set(subset)) and (best is None or key(subset) < key(best)):
-                    best = subset
-    assert best is not None, "a nonempty covered graph has a removable subset"
+    best = max((s for s in subsets if removable(s)), key=key, default=None)
+    assert best is not None, "a nonempty graph of a universe has a removable set"
     return frozenset(best)
 
 

@@ -117,19 +117,28 @@ def test_criterion_01_minimum_size_per_order(min_sizes):
         values = ", ".join(str(outs[n].value) for n in range(4, 10))
         c["detail"] = (
             f"minimum sizes for orders 4..9 = {values} = 2n-2, all exhaustive "
-            f"({elapsed:.1f}s <= 600s); orders 10 and 11 are pinned by their own "
-            "test, order 12 is a built-in run (see README)"
+            f"({elapsed:.1f}s <= 600s); orders 10, 11 and 12 (18, 20, 22) are "
+            "pinned by their own test"
         )
 
 
 def test_minimum_size_orders_10_and_11():
-    # f(10) = 18 and f(11) = 20, past the paper's small orders: 2n - 2 still,
-    # with every extremal class found by the exhaustive built-in search.
-    expected = {10: (18, ["IrqcSLOKG", "I}iSSIA_W"]), 11: (20, ["J}iSSIA_S@_"])}
-    for n, (value, witnesses) in expected.items():
+    # f(10) = 18, f(11) = 20 and f(12) = 22, past the paper's small orders:
+    # 2n - 2 still, with every extremal class and the tree size of the
+    # exhaustive built-in search.
+    expected = {
+        10: (18, 2208, ["IrqcSLOKG", "I}iSSIA_W"]),
+        11: (20, 9901, ["J}iSSIA_S@_"]),
+        12: (22, 47810, ["K]iRAaG`ICGH", "KrqcSIA_Y_E@", "K}iSSIA_S@OB"]),
+    }
+    t0 = time.monotonic()
+    for n, (value, tree_nodes, witnesses) in expected.items():
         out = min_size_edge_pancyclic(n)
         assert out.exhaustive, f"order {n}: search not exhaustive"
         assert (out.value, out.witnesses) == (value, witnesses), f"order {n}"
+        assert out.counts["tree_nodes"] == tree_nodes, f"order {n}"
+    elapsed = time.monotonic() - t0
+    assert elapsed <= 600, f"searches took {elapsed:.0f}s > 600s"
 
 
 def test_criterion_02_small_order_censuses(small_censuses):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from collections import Counter
 from types import SimpleNamespace
@@ -102,16 +104,6 @@ def test_generator_order_bound():
         next(enumerate_graphs(13))
 
 
-def test_generator_stream_mode():
-    # DqK is Dhc relabeled; C~ has the wrong order; D!c is not graph6.
-    for lines, bad in ((["Dhc", "DqK", "C~", "", "Dhc"], 3), (["Dhc", "D!c"], 2)):
-        with pytest.raises(GraphError) as e:
-            list(enumerate_graphs(5, stream=iter(lines)))
-        assert f"stream line {bad}:" in str(e.value)
-    got = list(enumerate_graphs(5, stream=iter(["Dhc", "DqK", "", "Dhc"])))
-    assert len(got) == 1  # all three non-empty lines are the same class
-
-
 # -- the covered-universe generator ---------------------------------------------
 
 
@@ -166,8 +158,9 @@ def test_planted_graphs_are_reached():
 
 
 def test_canonical_removal_matches_brute_force():
-    # The key-order scan returns exactly the smallest removable subset that
-    # the exhaustive triangle x subset oracle finds, for any relabeling.
+    # The descending key-order scan returns exactly the removable set of
+    # largest key that the exhaustive oracle finds, for any relabeling, in
+    # the covered universe (triangle edge subsets) and the edge universe.
     rng = random.Random(11)
     sizes = set()
     for _ in range(300):
@@ -182,19 +175,28 @@ def test_canonical_removal_matches_brute_force():
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (rows[u] >> v) & 1]
         sigma = list(range(n))
         rng.shuffle(sigma)
-        got = search._canonical_removal(rows, n, tuple(sigma))
-        assert all(a < b for a, b in got) and list(got) == sorted(got)
-        assert frozenset(got) == canonical_removal(n, edges, sigma), (n, edges, sigma)
-        sizes.add(len(got))
+        for covered, sets, removable in (
+            (True, search._covered_sets, search._covered_after_removal),
+            (False, search._edge_sets, search._always_removable),
+        ):
+            got = search._canonical_removal(rows, n, tuple(sigma), sets, removable)
+            assert all(a < b for a, b in got) and list(got) == sorted(got)
+            want = canonical_removal(n, edges, sigma, covered)
+            assert frozenset(got) == want, (covered, n, edges, sigma)
+            if covered:
+                sizes.add(len(got))
+            else:
+                assert len(got) == 1
     assert sizes == {1, 2, 3}
 
 
 def test_pruned_step_accepts_the_plain_steps_classes(monkeypatch):
     # At every node of both trees, the acceptance step with orbit pruning
-    # alone and with the cheap rejection too must accept the classes the
-    # unpruned step accepts. The cheap rejection may reach a class through
+    # alone and with the degree pre-filter too must accept the classes the
+    # unpruned step accepts. The pre-filter may reach a class through
     # another move, with other labels, so codes are compared, not rows.
     canonize = search._canonize
+    rejects = search._rejects
     calls = Counter()
     which = ["pruned"]
 
@@ -206,7 +208,7 @@ def test_pruned_step_accepts_the_plain_steps_classes(monkeypatch):
         calls["plain"] += 1
         return canonize(Graph(order, rows))
 
-    def never(rows, act, added):
+    def never(rows, act, added, sets, removable):
         return False
 
     monkeypatch.setattr(search, "_canonize", counted)
@@ -215,15 +217,18 @@ def test_pruned_step_accepts_the_plain_steps_classes(monkeypatch):
         tree = search._Tree(n, m_hi, GraphFilter(min_degree=floor))
         universes.append((
             lambda rows, act, m, tree=tree: search._covered_children(rows, act, m, tree),
-            search._canonical_removal, search._covered_rejects,
+            search._covered_sets, search._covered_after_removal,
         ))
     for n in range(1, 7):
         universes.append((
             lambda rows, act, m, n=n: search._edge_children(rows, act, m, n),
-            search._last_edge, search._edge_rejects,
+            search._edge_sets, search._always_removable,
         ))
     nodes = 0
-    for moves_of, removal_of, rejects in universes:
+    for moves_of, sets, removable in universes:
+        def removal_of(rows, act, sigma, sets=sets, removable=removable):
+            return search._canonical_removal(rows, act, sigma, sets, removable)
+
         stack = [([], 0, 0, 0, ())]
         while stack:
             node = stack.pop()
@@ -232,9 +237,11 @@ def test_pruned_step_accepts_the_plain_steps_classes(monkeypatch):
             want = {(c[1], c[3]) for c in plain_accepted_children(
                 node, moves_of(rows, act, m), removal_of, plain_canonize)}
             which[0] = "orbits"
-            orbits = list(search._accepted_children(node, moves_of(rows, act, m), removal_of, never))
+            monkeypatch.setattr(search, "_rejects", never)
+            orbits = list(search._accepted_children(node, moves_of(rows, act, m), sets, removable))
             which[0] = "pruned"
-            pruned = list(search._accepted_children(node, moves_of(rows, act, m), removal_of, rejects))
+            monkeypatch.setattr(search, "_rejects", rejects)
+            pruned = list(search._accepted_children(node, moves_of(rows, act, m), sets, removable))
             for got in (orbits, pruned):
                 codes = [(c[1], c[3]) for c in got]
                 assert len(codes) == len(set(codes)) and set(codes) == want, rows
@@ -305,6 +312,26 @@ def test_search_determinism_and_worker_independence(monkeypatch):
     monkeypatch.setattr(search, "multiprocessing", None)
     fallback = min_size_triangle_cover(5, 2, workers=4)
     assert fallback.to_json_dict() == serial.to_json_dict()
+
+
+# SHA-256 of the 32 outcomes below, serialized with sorted keys.
+OUTCOME_DIGEST = "b2dfca17cb9384ef93a2483a7b596411d5ed68d6ac4ee2a2e7516b68849180c7"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_search_outcomes_match_frozen_digest(workers):
+    # Every value, witness, class count and tree-node count of the small
+    # searches is frozen: a change to the trees' rules that alters any of
+    # them, at any worker count, changes the digest.
+    outs = [min_size_edge_pancyclic(n, workers=workers) for n in range(4, 10)]
+    for kappa, lo in ((1, 2), (2, 3), (3, 4)):
+        outs += [min_size_triangle_cover(n, kappa, workers=workers) for n in range(lo, 10)]
+    outs += [
+        max_diameter_edge_pancyclic(n, mode="exhaustive", workers=workers) for n in range(3, 8)
+    ]
+    assert len(outs) == 32
+    text = json.dumps([o.to_json_dict() for o in outs], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == OUTCOME_DIGEST
 
 
 def test_worker_split_fills_the_frontier(monkeypatch):
@@ -381,6 +408,13 @@ def test_stream_search_mode():
     assert "line 1" in str(e.value)
     # The triangle is edge-pancyclic: the degree-3 floor starts at order 4.
     assert min_size_edge_pancyclic(3, stream=iter(["Bw"])).witnesses == ["Bw"]
+    # DqK is Dhc relabeled; C~ has the wrong order; D!c is not graph6.
+    for lines, bad in ((["Dhc", "DqK", "C~", "", "Dhc"], 3), (["Dhc", "D!c"], 2)):
+        with pytest.raises(GraphError) as e:
+            min_size_edge_pancyclic(5, stream=iter(lines))
+        assert f"stream line {bad}:" in str(e.value)
+    out = min_size_edge_pancyclic(5, stream=iter(["Dhc", "DqK", "", "Dhc"]))
+    assert out.counts["stream_classes"] == 1  # the three non-empty lines are one class
 
 
 def test_outcome_serialization():
