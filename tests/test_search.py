@@ -408,6 +408,9 @@ def test_stream_search_mode():
     assert "line 1" in str(e.value)
     # The triangle is edge-pancyclic: the degree-3 floor starts at order 4.
     assert min_size_edge_pancyclic(3, stream=iter(["Bw"])).witnesses == ["Bw"]
+
+
+def test_stream_search_line_numbers_and_classes():
     # DqK is Dhc relabeled; C~ has the wrong order; D!c is not graph6.
     for lines, bad in ((["Dhc", "DqK", "C~", "", "Dhc"], 3), (["Dhc", "D!c"], 2)):
         with pytest.raises(GraphError) as e:
