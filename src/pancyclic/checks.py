@@ -1,12 +1,30 @@
 """Exact decision procedures for cycle spectra and related predicates.
 
 The workhorse is a depth-first search for a simple (a, b)-path of an exact
-edge count, pruned at every node by a breadth-first scan of the residual
-graph (unvisited vertices plus the current one): the target must remain
-reachable within the remaining length, there must be enough reachable
-unvisited vertices left, and a required edge, when one is set, must keep
-both endpoints reachable. A cycle of length L through edge ab is exactly a
-simple (a, b)-path of length L - 1 in the graph without ab.
+edge count. A cycle of length L through edge ab is exactly a simple
+(a, b)-path of length L - 1 in the graph without ab. A DFS node is a path
+a .. cur with r edges still to go; it tries cur's neighbours in ascending
+order, and three exact rules cut it short:
+
+- Residual scan, b a sink. A breadth-first scan from cur over the
+  unvisited vertices, never expanding b, prunes the node unless b lies
+  within r steps, at least r unvisited vertices are reached, and a
+  required edge not yet on the path has both endpoints reached. The rest
+  of any completion runs from cur to b through unvisited vertices and
+  meets b only at its end, so all of it lies in the scan: a pruned node
+  has no completion.
+- Early stop. The scan ends as soon as all three tests pass, and fails
+  once level r is done without b. Each test only turns from failing to
+  passing as levels are added, so it decides as the full scan would.
+- One-step close. With r == 2 and no required edge left to cover, the
+  node closes the path through the lowest unvisited common neighbour of
+  cur and b: the first child whose last step the DFS would complete.
+
+A pruned subtree holds no path, and the close returns the path its
+children would have found first, so the search finds the same first path
+in neighbour order as the plain DFS (full scan, b expanded, children down
+to r == 1) and expands no more nodes. Under a node budget it can only
+decide more.
 
 Absence of a length is certified by exhausting the pruned search tree. An
 optional node budget, one total shared by every probe of a check, turns
@@ -28,8 +46,10 @@ as ``certified``, apart from the DFS ``probes``. Every other cycle probe
 searches the graph without ab restricted to ab's block. That DFS walks a
 subtree of the unrestricted one in the same neighbour order: every pruning
 test reads a subset of the same residual graph, and every path it can
-complete lies in the block. So it finds the same witness, expands at most
-as many nodes, and under a budget can only turn an unknown into a decision.
+complete lies in the block, as does the common neighbour a one-step close
+picks (it closes a cycle through ab). So it finds the same witness,
+expands at most as many nodes, and under a budget can only turn an
+unknown into a decision.
 Path probes (``_Probes.path``) search the whole graph.
 
 A cycle found for one pair is a witness for more: a cycle of length L
@@ -134,7 +154,29 @@ def _find_exact_path(
 ) -> list[int] | None:
     """Vertex list of a simple (a, b)-path with exactly ``length`` edges, or
     None when no such path exists. Raises _OutOfBudget when the node budget
-    runs out before either answer is certain."""
+    runs out before either answer is certain.
+
+    A node is a path a .. cur with r edges still to go; each spends one
+    budget unit. It tries cur's unvisited neighbours other than b in
+    ascending order. Three rules cut it short, each without changing which
+    path is found first (module docstring):
+
+    - At r == 2 with no required edge still to cover, the path closes
+      through the lowest unvisited common neighbour w of cur and b. That
+      is the child whose r == 1 test the DFS would pass first, so the node
+      returns the same path without expanding any child.
+    - Otherwise a residual BFS from cur, over the unvisited vertices, with
+      b a sink (never expanded), prunes the node unless b lies within r
+      steps, at least r unvisited vertices are reached and, when the
+      required edge is not yet on the path, both its endpoints are
+      reached. The rest of the path runs from cur to b through unvisited
+      vertices and never through b, so every vertex on it is reached, and
+      b at distance at most r: a pruned node has no completion.
+    - The BFS stops as soon as all three tests pass, or fails once level r
+      is done without reaching b. The tests only ever turn from failing to
+      passing as levels are added, so the early stop decides as the full
+      BFS would.
+    """
     if length < 1 or a == b:
         raise GraphError("path probes need distinct endpoints and length >= 1")
     bbit = 1 << b
@@ -148,53 +190,52 @@ def _find_exact_path(
             raise _OutOfBudget
         cbit = 1 << cur
         if r == 1:
-            if (adj[cur] & bbit) and not (vis & bbit):
-                if required is None or used or (cbit | bbit) == req_mask:
-                    path.append(b)
-                    return True
+            if adj[cur] & bbit and (used or (cbit | bbit) == req_mask):
+                path.append(b)
+                return True
             return False
         alive = ~vis
-        # Residual BFS from cur: distance to b, reachable unvisited count,
-        # and reachability of a still-unused required edge's endpoints.
+        want = 0 if used else req_mask
+        if r == 2 and not want:
+            close = adj[cur] & alive & adj[b]
+            if close:
+                path.append((close & -close).bit_length() - 1)
+                path.append(b)
+                return True
+            return False
+        # Residual BFS from cur, b a sink, stopped once every test passes.
         seen = cbit
         frontier = cbit
-        dist_b = -1
         d = 0
         while frontier:
             d += 1
-            f = frontier
             nxt = 0
-            while f:
-                low = f & -f
+            while frontier:
+                low = frontier & -frontier
                 nxt |= adj[low.bit_length() - 1]
-                f ^= low
+                frontier ^= low
             nxt &= alive & ~seen
-            if not nxt:
-                break
-            if dist_b < 0 and nxt & bbit:
-                dist_b = d
             seen |= nxt
-            frontier = nxt
-        if dist_b < 0 or dist_b > r:
+            if not seen & bbit:
+                if d >= r:
+                    return False
+            elif seen.bit_count() > r and seen & want == want:
+                break
+            frontier = nxt & ~bbit
+        else:
             return False
-        if (seen & alive).bit_count() < r:
-            return False
-        if required is not None and not used:
-            if (seen | cbit) & req_mask != req_mask:
-                return False
         nbrs = adj[cur] & alive & ~bbit
         while nbrs:
             low = nbrs & -nbrs
-            w = low.bit_length() - 1
             nbrs ^= low
+            w = low.bit_length() - 1
             path.append(w)
-            w_used = used or (required is not None and (cbit | low) == req_mask)
-            if rec(w, vis | low, r - 1, w_used):
+            if rec(w, vis | low, r - 1, used or (cbit | low) == want):
                 return True
             path.pop()
         return False
 
-    if rec(a, 1 << a, length, False):
+    if rec(a, 1 << a, length, required is None):
         return path
     return None
 
@@ -461,7 +502,10 @@ def is_edge_pancyclic(
 
 
 def is_vertex_pancyclic(g: Graph, *, budget: int | None = None) -> CheckReport:
-    """Every vertex on a cycle of every length from 3 to the order."""
+    """Every vertex on a cycle of every length from 3 to the order.
+
+    Each edge uv is probed as (min, max), the direction every other check
+    probes it in; the verdict does not depend on the direction."""
     if g.order < 3:
         raise GraphError("vertex-pancyclicity needs at least 3 vertices")
     probes = _Probes(g, budget)
@@ -471,7 +515,7 @@ def is_vertex_pancyclic(g: Graph, *, budget: int | None = None) -> CheckReport:
             for length in range(3, g.order + 1):
                 yield (
                     {"vertex": v, "length": length},
-                    (probes.cycle(v, u, length) for u in g.neighbors(v)),
+                    (probes.cycle(min(v, u), max(v, u), length) for u in g.neighbors(v)),
                 )
 
     holds = {"vertices_checked": g.order, "lengths": [3, g.order]}

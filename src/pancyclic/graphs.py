@@ -483,7 +483,19 @@ def _local_connectivity(g: Graph, s: int, t: int, cutoff: int) -> int:
 
 
 def vertex_connectivity(g: Graph, *, cutoff: int | None = None) -> int:
-    """Exact vertex connectivity via Menger (max flow over all non-adjacent pairs).
+    """Exact vertex connectivity via Menger: the least local connectivity
+    kappa(s, t) over non-adjacent pairs, s among the first ``best`` vertices
+    (after Even, SIAM J. Comput. 4(3), 1975).
+
+    ``best`` starts at min(cutoff, minimum degree), an upper bound, and
+    only falls to a local connectivity, so it never drops below
+    min(kappa, cutoff). If kappa < cutoff, a minimum separator S has kappa
+    vertices, so one of the kappa + 1 sources 0 .. kappa lies outside S; a
+    vertex t in a component of G - S without s is not adjacent to s, and
+    kappa(s, t) <= |S| = kappa. Until ``best`` has fallen to kappa it is at
+    least kappa + 1, so those sources are all tried. Each source is paired
+    with the vertices above it: a t below s is itself a source, and the
+    pair was tried from t.
 
     ``cutoff`` truncates the answer from above: the return value is
     ``min(kappa, cutoff)``, which is what threshold predicates need.
@@ -501,13 +513,12 @@ def vertex_connectivity(g: Graph, *, cutoff: int | None = None) -> int:
     if not is_connected(g):
         return 0
     best = min(cutoff, min_degree(g))
-    for s in range(n):
+    s = 0
+    while s < best:
         for t in range(s + 1, n):
-            if g.has_edge(s, t):
-                continue
-            if best == 0:
-                return 0
-            best = min(best, _local_connectivity(g, s, t, best))
+            if not g.has_edge(s, t):
+                best = min(best, _local_connectivity(g, s, t, best))
+        s += 1
     return best
 
 

@@ -5,10 +5,12 @@ internals: permutation search for isomorphism, exhaustive DFS for cycles,
 subset deletion for connectivity, and the cycle index of the pair action
 for isomorphism-class counts. Slow but obviously right. Functions take
 plain (order, edge list) data so they cannot silently reuse library logic.
-The two exceptions are the reference versions of a library step with one
+The exceptions are the reference versions of a library step with a
 shortcut left out, kept to show that the shortcut changes no result:
-``plain_accepted_children`` (no rejection before canonization) and
-``PlainProbes`` (no cycle-witness reuse).
+``plain_accepted_children`` (no rejection before canonization),
+``PlainProbes`` (no cycle-witness reuse) and ``plain_find_exact_path`` (the
+path DFS with a full residual BFS at every node: b expanded like any
+vertex, no early stop, no one-step close).
 """
 
 from __future__ import annotations
@@ -367,3 +369,80 @@ class PlainProbes(checks._Probes):
 
     def cycle(self, a, b, length):
         return self._search(a, b, length)
+
+
+def plain_find_exact_path(
+    adj: tuple[int, ...] | list[int],
+    a: int,
+    b: int,
+    length: int,
+    budget,
+    required: tuple[int, int] | None = None,
+) -> list[int] | None:
+    """``checks._find_exact_path`` without its three shortcuts: at
+    every node a BFS of the whole residual graph from cur, b expanded like
+    any other vertex, then the same three tests, and children down to
+    r == 1. Same arguments, same witness order; raises
+    ``checks._OutOfBudget`` when ``budget.spend()`` refuses a node."""
+    if length < 1 or a == b:
+        raise checks.GraphError("path probes need distinct endpoints and length >= 1")
+    bbit = 1 << b
+    req_mask = 0
+    if required is not None:
+        req_mask = (1 << required[0]) | (1 << required[1])
+    path = [a]
+
+    def rec(cur: int, vis: int, r: int, used: bool) -> bool:
+        if not budget.spend():
+            raise checks._OutOfBudget
+        cbit = 1 << cur
+        if r == 1:
+            if (adj[cur] & bbit) and not (vis & bbit):
+                if required is None or used or (cbit | bbit) == req_mask:
+                    path.append(b)
+                    return True
+            return False
+        alive = ~vis
+        # Residual BFS from cur: distance to b, reachable unvisited count,
+        # and reachability of a still-unused required edge's endpoints.
+        seen = cbit
+        frontier = cbit
+        dist_b = -1
+        d = 0
+        while frontier:
+            d += 1
+            f = frontier
+            nxt = 0
+            while f:
+                low = f & -f
+                nxt |= adj[low.bit_length() - 1]
+                f ^= low
+            nxt &= alive & ~seen
+            if not nxt:
+                break
+            if dist_b < 0 and nxt & bbit:
+                dist_b = d
+            seen |= nxt
+            frontier = nxt
+        if dist_b < 0 or dist_b > r:
+            return False
+        if (seen & alive).bit_count() < r:
+            return False
+        if required is not None and not used:
+            if (seen | cbit) & req_mask != req_mask:
+                return False
+        nbrs = adj[cur] & alive & ~bbit
+        while nbrs:
+            low = nbrs & -nbrs
+            w = low.bit_length() - 1
+            nbrs ^= low
+            path.append(w)
+            w_used = used or (required is not None and (cbit | low) == req_mask)
+            if rec(w, vis | low, r - 1, w_used):
+                return True
+            path.pop()
+        return False
+
+    if rec(a, 1 << a, length, False):
+        return path
+    return None

@@ -34,7 +34,13 @@ from pancyclic import (
     GraphFilter,
 )
 from conftest import random_connected_graph, random_graph
-from oracles import PlainProbes, all_simple_paths_between, edge_spectrum, normalized
+from oracles import (
+    PlainProbes,
+    all_simple_paths_between,
+    edge_spectrum,
+    normalized,
+    plain_find_exact_path,
+)
 from test_graphs import graphs
 
 
@@ -238,17 +244,23 @@ class _CountingProbe:
         self.calls += 1
         self.seen.append((a, b, length))
         self.marks.append(self.nodes)
-        return self._probe(adj, a, b, length, _CountingBudget(self, budget), required)
+        counted = _CountingBudget(budget)
+        try:
+            return self._probe(adj, a, b, length, counted, required)
+        finally:
+            self.nodes += counted.nodes
 
 
 class _CountingBudget:
-    def __init__(self, counter, inner):
-        self.counter = counter
+    """A node budget proxy: counts the nodes that the wrapped budget grants."""
+
+    def __init__(self, inner):
         self.inner = inner
+        self.nodes = 0
 
     def spend(self):
         ok = self.inner.spend()
-        self.counter.nodes += ok
+        self.nodes += ok
         return ok
 
 
@@ -422,6 +434,42 @@ def test_certified_lengths_never_reach_the_dfs(monkeypatch):
     assert counter.calls == start
 
 
+def test_path_kernel_matches_plain_dfs():
+    # Every (a, b, length), without a required edge and through a random
+    # one, against the DFS without the sink, early-stop and one-step-close
+    # shortcuts: the same witness or None, no more nodes, and a budget of
+    # the plain DFS's node count always decides.
+    rng = random.Random(37)
+    corpus = list(NAMED) + [
+        random_connected_graph(rng, n, density)
+        for n in range(4, 12)
+        for density in (0.1, 0.25, 0.4, 0.6)
+        for _ in range(2)
+    ]
+    probes = nodes = plain_nodes = 0
+    for g in corpus:
+        edges = [tuple(e) for e in g.edges()]
+        for a in range(g.order):
+            for b in range(g.order):
+                if a == b:
+                    continue
+                for length in range(1, g.order):
+                    for required in (None, rng.choice(edges)):
+                        ref = _CountingBudget(checks._Budget(None))
+                        want = plain_find_exact_path(g.adj, a, b, length, ref, required)
+                        got = _CountingBudget(checks._Budget(None))
+                        assert checks._find_exact_path(g.adj, a, b, length, got, required) == want
+                        assert got.nodes <= ref.nodes
+                        tight = checks._Budget(ref.nodes)
+                        assert checks._probe(g.adj, a, b, length, tight, required) == (
+                            want is not None, want)
+                        probes += 1
+                        nodes += got.nodes
+                        plain_nodes += ref.nodes
+    assert probes > 50_000
+    assert nodes < plain_nodes
+
+
 def plain(monkeypatch, run):
     with monkeypatch.context() as m:
         m.setattr(checks, "_Probes", PlainProbes)
@@ -458,10 +506,7 @@ def test_witness_reuse_matches_plain_probes(monkeypatch):
         assert probes.certified == ref.certified
         reused += probes.reused
         assert cycle_spectrum(g) == plain(monkeypatch, lambda: cycle_spectrum(g))
-        # Unbudgeted vertex-pancyclicity of q_graph(25) takes about 30 s (75 s
-        # without reuse), so the two large graphs run it under budgets only.
-        unbudgeted = _CHECKS if g.order < 25 else (_CHECKS[0], _CHECKS[2])
-        for check in unbudgeted:
+        for check in _CHECKS:
             got = check(g, None)
             ref = plain(monkeypatch, lambda: check(g, None))
             assert got.verdict == ref.verdict

@@ -14,12 +14,14 @@ from pancyclic import (
     Graph,
     Graph6Error,
     GraphError,
+    GraphFilter,
     build_graph,
     diameter,
     distance_layers,
     eccentricity,
     emit_dot,
     emit_graph6,
+    enumerate_graphs,
     is_connected,
     is_k_connected,
     min_degree,
@@ -223,6 +225,20 @@ def test_connectivity_against_deletion_oracle():
         n = rng.randint(2, 8)
         g = random_graph(rng, n, rng.choice((0.3, 0.5, 0.8)))
         assert vertex_connectivity(g) == connectivity_by_deletion(n, g.edges())
+    # Every connected graph up to order 7, at every cutoff. The flow sources
+    # are the lowest labels, so each class also runs randomly relabeled.
+    count = 0
+    for n in range(2, 8):
+        for g in enumerate_graphs(n, graph_filter=GraphFilter(connectivity=1)):
+            kappa = connectivity_by_deletion(n, g.edges())
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for h in (g, g.relabel(perm)):
+                assert vertex_connectivity(h) == kappa
+                for cutoff in range(n):
+                    assert vertex_connectivity(h, cutoff=cutoff) == min(kappa, cutoff)
+            count += 1
+    assert count == 1 + 2 + 6 + 21 + 112 + 853
 
 
 def test_is_k_connected_matches_kappa():
