@@ -351,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "total DFS node cap per checked graph, shared by all of "
                         "its (edge, length) probes; lengths certified absent by "
                         "the edge's block spend none, nor do pairs answered by "
-                        "a cycle found earlier in the check (stats.reused), and "
+                        "a cycle found earlier in the check or by a chord "
+                        "exchange on one of the same length (stats.reused), and "
                         "stats.probes counts DFS probes only; default unlimited")
     p.add_argument("--witnesses", action="store_true", default=None,
                    help="edge-pancyclic only: include one cycle per (edge, length)")
@@ -367,8 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total DFS node cap per graph, shared by all of its "
                         "(edge, length) probes; lengths certified absent by the "
                         "edge's block spend none, nor do pairs answered by a "
-                        "cycle found earlier for the graph; a stopped spectrum "
-                        "lists only confirmed lengths and exits 3")
+                        "cycle found earlier for the graph or by a chord "
+                        "exchange on one of the same length; a stopped "
+                        "spectrum lists only confirmed lengths and exits 3")
     p.set_defaults(func=_run_spectrum)
 
     p = sub.add_parser("canon", help="canonical graph6 and hex code for stdin graphs")

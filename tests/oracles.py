@@ -8,7 +8,8 @@ plain (order, edge list) data so they cannot silently reuse library logic.
 The exceptions are the reference versions of a library step with a
 shortcut left out, kept to show that the shortcut changes no result:
 ``plain_accepted_children`` (no rejection before canonization),
-``PlainProbes`` (no cycle-witness reuse) and ``plain_find_exact_path`` (the
+``PlainProbes`` (no cycle-witness reuse), ``ReuseOnlyProbes`` (reuse
+without the chord exchange) and ``plain_find_exact_path`` (the
 path DFS with a full residual BFS at every node: b expanded like any
 vertex, no early stop, no one-step close).
 """
@@ -369,6 +370,14 @@ class PlainProbes(checks._Probes):
 
     def cycle(self, a, b, length):
         return self._search(a, b, length)
+
+
+class ReuseOnlyProbes(checks._Probes):
+    """The probe engine without the chord exchange: a cycle probe is
+    answered by the cycle recorded for its own pair, or else searched."""
+
+    def _exchange(self, a, b, length):
+        return None
 
 
 def plain_find_exact_path(

@@ -36,6 +36,7 @@ from pancyclic import (
 from conftest import random_connected_graph, random_graph
 from oracles import (
     PlainProbes,
+    ReuseOnlyProbes,
     all_simple_paths_between,
     edge_spectrum,
     normalized,
@@ -80,6 +81,17 @@ def test_spectrum_hand_cases():
     assert set(edge_cycle_lengths(wheel(6), (0, 1))) == {3, 4, 5, 6}
     with pytest.raises(GraphError):
         edge_cycle_lengths(cycle(4), (0, 2))
+
+
+def test_probe_edges_outside_the_graph_raise():
+    # Out of range, a negative shift, and a negative index that reads the
+    # last vertex's row: each is refused before any probe.
+    g = wheel(6)
+    for e in ((20, 0), (0, -1), (-1, 0)):
+        with pytest.raises(GraphError):
+            edge_cycle_lengths(g, e)
+        with pytest.raises(GraphError):
+            cycle_spectrum(g, edges=[e])
 
 
 def test_path_length_set_against_oracle():
@@ -539,6 +551,67 @@ def test_recorded_cycles_ignore_caller_edits():
         assert found
         assert_cycle_witness(wheel(6), a, b, 6, again)
     assert probes.reused == 2
+
+
+def test_chord_of_a_recorded_cycle_needs_no_dfs():
+    # wheel(7): hub 0 and rim 1 .. 6. On the ring 0, 1, .., 6 the spoke 0-5
+    # takes the first exchange (1-6 is a rim edge) and 0-2 the second (6-1).
+    g = wheel(7)
+    probes = checks._Probes(g)
+    probes._record(tuple(range(7)), 7)
+    for a, b, want in ((0, 5, [0, 6, 1, 2, 3, 4, 5]), (2, 0, [2, 3, 4, 5, 6, 1, 0])):
+        found, walk = probes.cycle(a, b, 7)
+        assert found and walk == want
+        assert_cycle_witness(g, a, b, 7, walk)
+    assert (probes.probes, probes.reused) == (0, 2)
+    # complete(7): one Hamiltonian cycle found by the DFS answers a chord.
+    g = complete(7)
+    probes = checks._Probes(g)
+    found, walk = probes.cycle(0, 1, 7)
+    assert found and probes.probes == 1 and probes.reused == 0
+    a, b = walk[1], walk[3]
+    found, chord = probes.cycle(a, b, 7)
+    assert found
+    assert_cycle_witness(g, a, b, 7, chord)
+    assert (probes.probes, probes.reused) == (1, 1)
+
+
+def test_chord_exchange_matches_plain_and_reuse_only_probes(monkeypatch):
+    rng = random.Random(53)
+    corpus = [
+        random_connected_graph(rng, n, density)
+        for n in range(8, 13)
+        for density in (0.3, 0.4, 0.5, 0.6)
+        for _ in range(4)
+    ]
+    probed = reuse_only_probed = 0
+    for g in corpus:
+        probes, ref, reuse_only = checks._Probes(g), PlainProbes(g), ReuseOnlyProbes(g)
+        for e in g.edges():
+            for length in range(3, g.order + 1):
+                found, walk = probes.cycle(e.u, e.v, length)
+                assert found == ref.cycle(e.u, e.v, length)[0]
+                assert found == reuse_only.cycle(e.u, e.v, length)[0]
+                if found:
+                    assert_cycle_witness(g, e.u, e.v, length, walk)
+        assert probes.probes + probes.reused == ref.probes
+        assert probes.certified == ref.certified
+        probed += probes.probes
+        reuse_only_probed += reuse_only.probes
+        assert cycle_spectrum(g) == plain(monkeypatch, lambda: cycle_spectrum(g))
+        for check in _CHECKS:
+            got = check(g, None)
+            ref = plain(monkeypatch, lambda: check(g, None))
+            assert got.verdict == ref.verdict
+            assert without_witnesses(got.evidence) == without_witnesses(ref.evidence)
+            assert got.stats["probes"] + got.stats["reused"] == ref.stats["probes"]
+            for budget in (5, 40, 300):
+                got = check(g, budget)
+                ref = plain(monkeypatch, lambda: check(g, budget))
+                assert got.stats["budget_left"] >= ref.stats["budget_left"]
+                if ref.verdict is not None:
+                    assert got.verdict == ref.verdict
+    assert probed < reuse_only_probed
 
 
 def test_budget_spectrum_incomplete_flag():
