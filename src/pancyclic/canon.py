@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, graph6_from_bits
+from .graphs import Graph, graph6_from_bits, graph_from_bits
 
 
 @dataclass(frozen=True)
@@ -294,8 +294,8 @@ def canonical_labeling(g: Graph) -> tuple[int, ...]:
 
 
 def canonical_graph(g: Graph) -> Graph:
-    """The canonically relabeled copy of ``g``."""
-    return g.relabel(canonical_labeling(g))
+    """The canonically relabeled copy of ``g``: the graph of its code."""
+    return graph_from_bits(g.order, _canonize(g)[0])
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

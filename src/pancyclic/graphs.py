@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, NamedTuple
 MAX_ORDER = 64
 _GRAPH6_MAX_ORDER = 62
 _GRAPH6_HEADER = ">>graph6<<"
+_GRAPH6_BITS = {c: f"{c - 63:06b}" for c in range(63, 127)}
 
 
 class GraphError(ValueError):
@@ -203,25 +204,13 @@ def parse_graph6(text: str) -> Graph:
             f"overlong graph6 body: need {need} bytes for order {n}, got {len(body)}",
             base + 1 + need,
         )
-    rows = [0] * n
-    bits_total = n * (n - 1) // 2
-    idx = 0
-    u, v = 0, 1
-    for k, ch in enumerate(body):
-        group = ord(ch) - 63
-        for shift in range(5, -1, -1):
-            bit = (group >> shift) & 1
-            if idx < bits_total:
-                if bit:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-                idx += 1
-                u += 1
-                if u == v:
-                    u, v = 0, v + 1
-            elif bit:
-                raise Graph6Error("nonzero padding bit in graph6 body", base + 1 + k)
-    return Graph(n, tuple(rows))
+    # Each byte is six bits of the column-major upper triangle, first entry
+    # most significant; the last byte's low bits are padding.
+    bits = int(body.translate(_GRAPH6_BITS) or "0", 2)
+    pad = 6 * need - n * (n - 1) // 2
+    if bits & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bit in graph6 body", base + need)
+    return graph_from_bits(n, bits >> pad)
 
 
 def emit_graph6(g: Graph) -> str:
@@ -249,6 +238,27 @@ def graph6_from_bits(n: int, bits: int) -> str:
     return chr(n + 63) + "".join(
         chr((bits >> s & 63) + 63) for s in range(nbits + shift - 6, -1, -6)
     )
+
+
+def graph_from_bits(n: int, bits: int) -> Graph:
+    """The order-``n`` graph whose column-major upper triangle is the
+    ``n(n-1)/2``-bit integer ``bits``, first entry most significant: the
+    inverse of :func:`graph6_from_bits`, and the graph of a canonical code."""
+    nbits = n * (n - 1) // 2
+    if not 0 <= n <= MAX_ORDER or bits < 0 or bits >> nbits:
+        raise GraphError(f"{bits} is not an upper triangle of order {n}")
+    # Reversed, entry i of the triangle is bit i, and column v is the v bits
+    # from v(v-1)/2 on: row v's neighbours below v.
+    low = int(f"{bits:0{nbits}b}"[::-1], 2)
+    rows = [0] * n
+    for v in range(1, n):
+        col = (low >> (v * (v - 1) // 2)) & ((1 << v) - 1)
+        rows[v] |= col
+        while col:
+            bit = col & -col
+            rows[bit.bit_length() - 1] |= 1 << v
+            col ^= bit
+    return Graph(n, tuple(rows))
 
 
 def emit_dot(g: Graph, labels: dict[str, int] | None = None) -> str:

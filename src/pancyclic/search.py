@@ -4,11 +4,14 @@ Two canonical-augmentation trees in McKay's sense share one acceptance step,
 :func:`_accepted_children`: a child is kept iff undoing its canonical
 removal returns its parent, so every isomorphism class appears exactly
 once, with no global seen-set. A node is a graph with no isolated vertex on
-its active vertices; a move may also activate the lowest unused ones, which
-are isolated and so interchangeable. A tree's universe names its candidate
-edge sets and which of them are removable; in both trees the canonical
-removal is the removable set of largest key under the canonical labeling
-(:func:`_canonical_removal`).
+its active vertices. A move completes a clique on k vertices, k = 2 in the
+edge tree and 3 in the triangle tree; its vertices may include the lowest
+unused ones, which are isolated and so interchangeable, and both trees list
+their vertex sets by one rule (:func:`_clique_sets`). A tree's universe
+names its candidate edge sets and which of them are removable; in both
+trees the canonical removal is the removable set of largest key under the
+canonical labeling (:func:`_canonical_removal`). A node carries its
+canonical code, and every graph a tree yields is read out of that code.
 
 * :func:`enumerate_graphs` adds one edge; its candidate sets are the single
   edges, all removable, so it removes the edge with the largest relabeled
@@ -72,6 +75,7 @@ import multiprocessing
 import os
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from . import checks
@@ -83,7 +87,7 @@ from .graphs import (
     build_graph,  # unused here; perfbench/tracer.py wraps search.build_graph
     diameter,
     emit_graph6,
-    graph6_from_bits,
+    graph_from_bits,
     is_k_connected,
     min_degree,
     parse_graph6,
@@ -364,22 +368,32 @@ def _rejects(
     return False
 
 
+def _clique_sets(act: int, n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The vertex sets of a node's moves, each of which completes a clique on
+    k vertices: active vertices plus the lowest fresh ones (which are
+    isolated, so any others would give the same classes). The all-active
+    sets come first in lexicographic order, then those with 1, 2, ... fresh
+    vertices, each in the lexicographic order of its active part."""
+    for f in range(min(k, n - act) + 1):
+        fresh = tuple(range(act, act + f))
+        for active in combinations(range(act), k - f):
+            yield active + fresh
+
+
 # -- unrestricted generator: canonical augmentation by one edge -------------
 
 
 def _edge_children(rows: list[int], act: int, m: int, n: int) -> Iterator[_Move]:
-    # All edge moves: pairs over active vertices plus up to 2 fresh ones.
-    pairs = [(u, v) for u in range(act) for v in range(u + 1, act) if not (rows[u] >> v) & 1]
-    if act + 1 <= n:
-        pairs += [(u, act) for u in range(act)]
-    if act + 2 <= n:
-        pairs.append((act, act + 1))
-    for u, v in pairs:
-        new_act = max(act, v + 1)
-        child = rows[:act] + [0] * (new_act - act)
-        child[u] |= 1 << v
-        child[v] |= 1 << u
-        yield child, new_act, m + 1, ((u, v),)
+    # All edge moves: non-adjacent pairs over active vertices plus up to 2
+    # fresh ones.
+    padded = rows + [0, 0]
+    for u, v in _clique_sets(act, n, 2):
+        if not (padded[u] >> v) & 1:
+            new_act = max(act, v + 1)
+            child = padded[:new_act]
+            child[u] |= 1 << v
+            child[v] |= 1 << u
+            yield child, new_act, m + 1, ((u, v),)
 
 
 def _edge_sets(rows: list[int], a: int, b: int) -> tuple[_Edges]:
@@ -411,7 +425,7 @@ def enumerate_graphs(
         if m >= lo:
             # The canonical graph of the node padded with isolated vertices:
             # they sort last, so the padded columns add only zero bits.
-            g = parse_graph6(graph6_from_bits(n, code << (nbits - act * (act - 1) // 2)))
+            g = graph_from_bits(n, code << (nbits - act * (act - 1) // 2))
             if graph_filter is None or graph_filter.passes(g):
                 yield g
         if m < hi:
@@ -423,7 +437,7 @@ def enumerate_graphs(
 def _filter_stream(n: int, stream: Iterable[str]) -> Iterator[Graph]:
     # The stream's graphs, parsed, order-checked and deduplicated by
     # canonical code, as canonical graphs.
-    seen: set[bytes] = set()
+    seen: set[int] = set()
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
@@ -434,12 +448,11 @@ def _filter_stream(n: int, stream: Iterable[str]) -> Iterator[Graph]:
             raise GraphError(f"stream line {lineno}: {exc}") from exc
         if g.order != n:
             raise GraphError(f"stream line {lineno}: order {g.order}, expected {n}")
-        cg = canonical_graph(g)
-        key = bytes(emit_graph6(cg), "ascii")
-        if key in seen:
+        code = _canonize(g)[0]
+        if code in seen:
             continue
-        seen.add(key)
-        yield cg
+        seen.add(code)
+        yield graph_from_bits(n, code)
 
 
 # -- covered universe: canonical augmentation by triangle moves -------------
@@ -502,36 +515,24 @@ class _CoveredSurvey:
 
     classes_seen: int = 0
     exact_order_by_size: Counter = field(default_factory=Counter)
-    survivors: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
+    survivors: list[int] = field(default_factory=list)  # canonical codes
 
 
 def _covered_children(rows: list[int], act: int, m: int, tree: _Tree) -> Iterator[_Move]:
-    # All triangle moves: triples over active vertices plus up to 3 fresh ones.
+    # All triangle moves within the size cap: triples over active vertices
+    # plus up to 3 fresh ones, adding their missing edges.
     n, m_hi, floor = tree.n, tree.m_hi, tree.keep.min_degree
     budget = m_hi - m
     if budget <= 0:
         return
-    triples: list[tuple[int, int, int]] = []
-    for u in range(act):
-        for v in range(u + 1, act):
-            for w in range(v + 1, act):
-                triples.append((u, v, w))
-    if act + 1 <= n:
-        for u in range(act):
-            for v in range(u + 1, act):
-                triples.append((u, v, act))
-    if act + 2 <= n:
-        for u in range(act):
-            triples.append((u, act, act + 1))
-    if act + 3 <= n:
-        triples.append((act, act + 1, act + 2))
-    for u, v, w in triples:
+    padded = rows + [0, 0, 0]
+    for u, v, w in _clique_sets(act, n, 3):
         missing = []
-        if not (v < act and (rows[u] >> v) & 1):
+        if not (padded[u] >> v) & 1:
             missing.append((u, v))
-        if not (w < act and (rows[u] >> w) & 1):
+        if not (padded[u] >> w) & 1:
             missing.append((u, w))
-        if not (w < act and (rows[v] >> w) & 1):
+        if not (padded[v] >> w) & 1:
             missing.append((v, w))
         if not missing or len(missing) > budget:
             continue
@@ -540,7 +541,7 @@ def _covered_children(rows: list[int], act: int, m: int, tree: _Tree) -> Iterato
         # Activation bound: each future edge activates at most one vertex.
         if new_act + (m_hi - new_m) < n:
             continue
-        child = rows[:act] + [0] * (new_act - act)
+        child = padded[:new_act]
         for a, b in missing:
             child[a] |= 1 << b
             child[b] |= 1 << a
@@ -570,15 +571,14 @@ def _walk_covered(
     pop = queue.pop if frontier is None else queue.popleft
     while queue and (frontier is None or len(queue) < frontier):
         node = pop()
-        rows, act, m, _, _ = node
+        rows, act, m, code, _ = node
         survey.classes_seen += 1
         if class_budget is not None and survey.classes_seen > class_budget:
             raise SearchBudgetExceeded
         if act == n and m >= tree.size_lo:
             survey.exact_order_by_size[m] += 1
-            leaf = Graph(act, tuple(rows))
-            if keep.passes(leaf):
-                survey.survivors.append((act, leaf.adj))
+            if keep.passes(Graph(act, tuple(rows))):
+                survey.survivors.append(code)
         queue.extend(_accepted_children(
             node, _covered_children(rows, act, m, tree), _covered_sets, _covered_after_removal
         ))
@@ -595,11 +595,15 @@ def enumerate_covered_graphs(
 
     ``min_deg_final`` is a floor on every yielded graph; it also prunes the
     walk. Each edge in a triangle already gives minimum degree 2, so the
-    default of 2 filters nothing."""
+    default of 2 filters nothing. Built-in generation handles n <= 12."""
+    if not 0 <= n <= _BUILTIN_MAX_ORDER:
+        raise GraphError(f"covered enumeration supports 0 <= n <= {_BUILTIN_MAX_ORDER}")
+    if max_size < 0:
+        raise GraphError(f"size cap must be >= 0, got {max_size}")
     tree = _Tree(n, max_size, GraphFilter(min_degree=min_deg_final))
     survey, _ = _survey_covered(tree, workers=1)
-    for act, rows in survey.survivors:
-        yield canonical_graph(Graph(act, rows))
+    for code in survey.survivors:
+        yield graph_from_bits(n, code)
 
 
 # -- survey plumbing: leaf filters, worker split, deterministic merge --------
@@ -630,9 +634,7 @@ def _leaf_filter(predicate: str, n: int, kappa: int = 0) -> GraphFilter:
     )
 
 
-def _subtree_survey(
-    task: tuple[_Tree, _Node]
-) -> tuple[int, Counter, list[tuple[int, tuple[int, ...]]]]:
+def _subtree_survey(task: tuple[_Tree, _Node]) -> tuple[int, Counter, list[int]]:
     tree, node = task
     survey = _CoveredSurvey()
     _walk_covered(tree, node, survey)
@@ -684,10 +686,10 @@ def _survey_covered(
     return survey, True
 
 
-def _survivor_graphs(survey: _CoveredSurvey) -> list[Graph]:
+def _survivor_graphs(n: int, survey: _CoveredSurvey) -> list[Graph]:
     # Canonical form plus a total sort order makes results independent of
     # walk order and hence of the worker count.
-    out = [canonical_graph(Graph(act, rows)) for act, rows in survey.survivors]
+    out = [graph_from_bits(n, code) for code in survey.survivors]
     out.sort(key=lambda g: (g.size, emit_graph6(g)))
     return out
 
@@ -745,7 +747,7 @@ def _ascend_min_size(
             _Tree(n, m_hi, keep), workers=workers, class_budget=class_budget
         )
         tree_nodes += survey.classes_seen
-        passing = _survivor_graphs(survey)
+        passing = _survivor_graphs(n, survey)
         value, witnesses, by_size = _extremal(passing, keep, lambda g: g.size, min)
         counts = {
             "floor": floor,
@@ -779,11 +781,14 @@ def min_size_edge_pancyclic(
 
     Every edge-pancyclic graph has each edge in a triangle, so the
     covered-universe tree, with the floors of :func:`_leaf_filter`, is a
-    complete search space.
+    complete search space. A stream is read whole in this process, so
+    ``workers`` and ``class_budget`` may not be given with it.
     """
     objective = "min-size edge-pancyclic"
     keep = _leaf_filter("edge-pancyclic", n)
     if stream is not None:
+        if workers is not None or class_budget is not None:
+            raise GraphError("stream mode takes neither workers nor a class budget")
         classes, passing = 0, []
         for classes, g in enumerate(_filter_stream(n, stream), start=1):
             if keep.passes(g):
@@ -904,7 +909,7 @@ def max_diameter_edge_pancyclic(
     survey, complete = _survey_covered(
         _Tree(n, n * (n - 1) // 2, keep), workers=workers, class_budget=class_budget
     )
-    passing = _survivor_graphs(survey)
+    passing = _survivor_graphs(n, survey)
     value, witnesses, by_diameter = _extremal(passing, keep, diameter, max)
     counts = {
         "target": target,
@@ -941,4 +946,4 @@ def extremal_census(
         raise GraphError(f"size {size} out of range for order {n}")
     tree = _Tree(n, hi, _leaf_filter(predicate, n, kappa), size_lo=lo)
     survey, _ = _survey_covered(tree, workers=workers)
-    return _survivor_graphs(survey)
+    return _survivor_graphs(n, survey)

@@ -363,6 +363,75 @@ def plain_accepted_children(node, moves, removal_of, canonize):
         yield child, new_act, new_m, ccode
 
 
+def plain_edge_children(rows, act, m, n):
+    """The edge tree's moves, written out case by case: the non-adjacent
+    pairs of active vertices in lexicographic order, then each active vertex
+    with the first fresh one, then the first two fresh ones."""
+    pairs = [(u, v) for u in range(act) for v in range(u + 1, act) if not (rows[u] >> v) & 1]
+    if act + 1 <= n:
+        pairs += [(u, act) for u in range(act)]
+    if act + 2 <= n:
+        pairs.append((act, act + 1))
+    for u, v in pairs:
+        new_act = max(act, v + 1)
+        child = rows[:act] + [0] * (new_act - act)
+        child[u] |= 1 << v
+        child[v] |= 1 << u
+        yield child, new_act, m + 1, ((u, v),)
+
+
+def plain_covered_children(rows, act, m, tree):
+    """The covered tree's moves, written out case by case: every triple
+    with 0, 1, 2 and then 3 fresh vertices is listed first, then filtered
+    by its missing edges, the size cap, and the activation and degree
+    bounds."""
+    n, m_hi, floor = tree.n, tree.m_hi, tree.keep.min_degree
+    budget = m_hi - m
+    if budget <= 0:
+        return
+    triples = []
+    for u in range(act):
+        for v in range(u + 1, act):
+            for w in range(v + 1, act):
+                triples.append((u, v, w))
+    if act + 1 <= n:
+        for u in range(act):
+            for v in range(u + 1, act):
+                triples.append((u, v, act))
+    if act + 2 <= n:
+        for u in range(act):
+            triples.append((u, act, act + 1))
+    if act + 3 <= n:
+        triples.append((act, act + 1, act + 2))
+    for u, v, w in triples:
+        missing = []
+        if not (v < act and (rows[u] >> v) & 1):
+            missing.append((u, v))
+        if not (w < act and (rows[u] >> w) & 1):
+            missing.append((u, w))
+        if not (w < act and (rows[v] >> w) & 1):
+            missing.append((v, w))
+        if not missing or len(missing) > budget:
+            continue
+        new_act = max(act, w + 1)
+        new_m = m + len(missing)
+        if new_act + (m_hi - new_m) < n:
+            continue
+        child = rows[:act] + [0] * (new_act - act)
+        for a, b in missing:
+            child[a] |= 1 << b
+            child[b] |= 1 << a
+        if floor > 0:
+            deficit = floor * (n - new_act)
+            for x in range(new_act):
+                d = child[x].bit_count()
+                if d < floor:
+                    deficit += floor - d
+            if deficit > 2 * (m_hi - new_m):
+                continue
+        yield child, new_act, new_m, tuple(missing)
+
+
 class PlainProbes(checks._Probes):
     """The probe engine with no cycle-witness reuse: every cycle probe goes
     to the block certificates and the block-restricted DFS, as if no cycle

@@ -28,7 +28,7 @@ from pancyclic import (
     parse_graph6,
     vertex_connectivity,
 )
-from pancyclic.graphs import Block, edge_blocks
+from pancyclic.graphs import Block, edge_blocks, graph6_from_bits, graph_from_bits
 from conftest import random_graph
 from oracles import connectivity_by_deletion, normalized
 
@@ -148,6 +148,31 @@ def test_graph6_roundtrip_random():
     for n in (32, 61, 62):
         g = random_graph(rng, n, 0.2)
         assert parse_graph6(emit_graph6(g)) == g
+
+
+def test_graph_from_bits_inverts_graph6_from_bits():
+    # The bits-to-graph read-out against both encoders, on random graphs of
+    # every graph6 order and on the empty and complete extremes.
+    rng = random.Random(5)
+    for _ in range(400):
+        n = rng.randint(0, 62)
+        nbits = n * (n - 1) // 2
+        bits = rng.getrandbits(nbits)
+        for b in (bits, 0, (1 << nbits) - 1):
+            g = graph_from_bits(n, b)
+            assert g.order == n and g.size == b.bit_count()
+            assert graph6_from_bits(n, b) == emit_graph6(g)
+            assert parse_graph6(emit_graph6(g)) == g
+        h = random_graph(rng, n, rng.random())
+        triangle = 0  # h's upper triangle, column by column, first entry high
+        for v in range(1, n):
+            for u in range(v):
+                triangle = (triangle << 1) | h.has_edge(u, v)
+        assert graph_from_bits(n, triangle) == h
+        assert graph6_from_bits(n, triangle) == emit_graph6(h)
+    for n, bits in ((3, 8), (3, -1), (65, 0), (-1, 0)):
+        with pytest.raises(GraphError):
+            graph_from_bits(n, bits)
 
 
 def test_graph6_order_63_64_rejected():

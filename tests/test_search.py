@@ -38,7 +38,13 @@ from pancyclic import (
 )
 from pancyclic import search
 from pancyclic.search import WORKERS_ENV
-from oracles import canonical_removal, iter_labeled_graphs, plain_accepted_children
+from oracles import (
+    canonical_removal,
+    iter_labeled_graphs,
+    plain_accepted_children,
+    plain_covered_children,
+    plain_edge_children,
+)
 
 CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044)  # graphs on 0..7 vertices
 # OEIS A008406: graphs on 7 vertices with 0..21 edges
@@ -144,6 +150,15 @@ def test_covered_generator_respects_size_cap():
         assert g.order == 6
 
 
+def test_covered_generator_rejects_bad_parameters():
+    # Like enumerate_graphs: an order outside 0.._BUILTIN_MAX_ORDER or a
+    # negative size cap is an error, not an empty (or unbounded) walk.
+    for n, max_size in ((-1, 5), (65, 3), (search._BUILTIN_MAX_ORDER + 1, 3), (5, -3)):
+        with pytest.raises(GraphError):
+            next(enumerate_covered_graphs(n, max_size))
+    assert list(enumerate_covered_graphs(5, 0)) == []
+
+
 def test_planted_graphs_are_reached():
     target = canonical_code(a_graph(10).graph)
     assert any(
@@ -195,6 +210,7 @@ def test_pruned_step_accepts_the_plain_steps_classes(monkeypatch):
     # alone and with the degree pre-filter too must accept the classes the
     # unpruned step accepts. The pre-filter may reach a class through
     # another move, with other labels, so codes are compared, not rows.
+    # Each node's moves must also be the case-by-case oracle's, in its order.
     canonize = search._canonize
     rejects = search._rejects
     calls = Counter()
@@ -217,15 +233,17 @@ def test_pruned_step_accepts_the_plain_steps_classes(monkeypatch):
         tree = search._Tree(n, m_hi, GraphFilter(min_degree=floor))
         universes.append((
             lambda rows, act, m, tree=tree: search._covered_children(rows, act, m, tree),
+            lambda rows, act, m, tree=tree: plain_covered_children(rows, act, m, tree),
             search._covered_sets, search._covered_after_removal,
         ))
     for n in range(1, 7):
         universes.append((
             lambda rows, act, m, n=n: search._edge_children(rows, act, m, n),
+            lambda rows, act, m, n=n: plain_edge_children(rows, act, m, n),
             search._edge_sets, search._always_removable,
         ))
     nodes = 0
-    for moves_of, sets, removable in universes:
+    for moves_of, oracle_moves_of, sets, removable in universes:
         def removal_of(rows, act, sigma, sets=sets, removable=removable):
             return search._canonical_removal(rows, act, sigma, sets, removable)
 
@@ -234,6 +252,7 @@ def test_pruned_step_accepts_the_plain_steps_classes(monkeypatch):
             node = stack.pop()
             rows, act, m, _, _ = node
             nodes += 1
+            assert list(moves_of(rows, act, m)) == list(oracle_moves_of(rows, act, m)), rows
             want = {(c[1], c[3]) for c in plain_accepted_children(
                 node, moves_of(rows, act, m), removal_of, plain_canonize)}
             which[0] = "orbits"
@@ -290,6 +309,16 @@ def test_min_size_rejects_bad_parameters():
         min_size_triangle_cover(8, 4)
     with pytest.raises(GraphError):
         min_size_triangle_cover(3, 3)
+
+
+def test_stream_mode_rejects_workers_and_class_budget():
+    # The stream is read whole in this process, so neither option means
+    # anything there; giving one is an error, as an unread option is on
+    # the command line.
+    for bad in ({"class_budget": -5, "workers": -3}, {"workers": 1}, {"class_budget": 9}):
+        with pytest.raises(GraphError, match="stream mode"):
+            min_size_edge_pancyclic(4, stream=["C~"], **bad)
+    assert min_size_edge_pancyclic(4, stream=["C~"]).value == 6
 
 
 def test_search_determinism_and_worker_independence(monkeypatch):
