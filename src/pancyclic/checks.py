@@ -54,22 +54,23 @@ Path probes (``_Probes.path``) search the whole graph.
 
 A cycle found for one pair is a witness for more: a cycle of length L
 through ab passes through L edges, and proves L present for each of them.
-``_Probes`` records it for every edge on it and answers a later probe of
-any of those pairs with it, with no DFS and no budget spent. A recorded
-cycle also answers many of its chords: when ab joins two vertices of a
-recorded L-cycle C, a crossing-chord exchange (the step of the closure
-argument of Bondy & Chvatal, Discrete Math. 15(2), 1976) turns C into an
-L-cycle through ab
+``_Probes`` indexes it once, under each vertex on it, and answers a later
+probe of any of those pairs with the first recorded cycle that has the
+pair on it, with no DFS and no budget spent. A recorded cycle also answers
+many of its chords: when ab joins two vertices of a recorded L-cycle C, a
+crossing-chord exchange (the step of the closure argument of Bondy &
+Chvatal, Discrete Math. 15(2), 1976) turns C into an L-cycle through ab
 whenever the successors, or the predecessors, of a and b on C are
-adjacent. That cycle is recorded in turn. ``stats`` counts the pairs
-answered either way as ``reused``. Both steps only prove a length present;
-absence is still proved only by an exhausted DFS or a block certificate,
-so every spectrum and verdict stays exact. A check asks for its pairs in
-the same order either way and a probed pair costs the same nodes, so a
-budgeted check has at least as much budget left at every point as it
-would without them, and decides at least as much. The recorded cycles are
-scanned in the order they were recorded, so the answers do not depend on
-how a search splits its work between processes.
+adjacent; it is taken only when no recorded cycle has ab on it, and the
+new cycle is recorded in turn. ``stats`` counts the pairs answered either
+way as ``reused``. Both steps only prove a length present; absence is
+still proved only by an exhausted DFS or a block certificate, so every
+spectrum and verdict stays exact. A check asks for its pairs in the same
+order either way and a probed pair costs the same nodes, so a budgeted
+check has at least as much budget left at every point as it would without
+them, and decides at least as much. Recorded cycles are scanned in record
+order, so the answers do not depend on how a search splits its work
+between processes.
 """
 
 from __future__ import annotations
@@ -278,24 +279,22 @@ class _Probes:
     block-without-edge adjacency, built on first use, and the recorded
     cycles ("rings"). Every DFS goes through ``_probe``.
 
-    Witness reuse: each ring of length L is recorded for every edge on it
-    (the first ring recorded for a pair is kept) and for every vertex on it,
-    and a cycle probe of (ab, L) is answered, without a DFS, by
+    Witness reuse (module docstring): one index lists, for each length L
+    and vertex x, the L-rings through x in record order; a ring is written
+    once per vertex on it. A cycle probe of (ab, L) scans the L-rings
+    through a and is answered without a DFS by
 
-    - the ring recorded for the pair, when there is one;
-    - else a chord exchange (:meth:`_exchange`) on the first recorded
-      L-ring through a and b that admits one; the new ring is recorded;
+    - the first of them with b next to a: a ring with ab on it passes
+      through a, so this is the first ring recorded with ab on it;
+    - else the first chord exchange (:meth:`_exchange`) that one of them
+      with b on it admits, computed once while the scan looks on for the
+      first case; the new ring is recorded;
     - else the result of :meth:`_search`, whose ring is recorded.
 
-    Either ring is returned turned to run from a to b. A ring of length L
-    through ab proves (ab, L) present, and an absent length still needs an
-    exhausted DFS or a block certificate, so results stay exact; a pair
-    answered by a ring costs no node and a probed one what it costs without
-    rings, so a budget never runs out sooner (module docstring). Rings are
-    scanned in record order, so an answer depends only on the graph and the
-    order of the check's pairs, never on how many workers run checks. The
-    tables hold tuples, so a caller's witness list cannot change them, and
-    they live as long as the check: one graph's (edge, length) pairs."""
+    Either ring is returned turned to run from a to b. An answer depends
+    only on the graph and the order of the check's pairs. The index holds
+    tuples, so a caller's witness list cannot change it, and it lives as
+    long as the check: one graph's (edge, length) pairs."""
 
     def __init__(self, g: Graph, budget: int | None = None):
         if budget is not None and budget < 0:
@@ -309,8 +308,6 @@ class _Probes:
         self.t0 = time.monotonic()
         self._blocks: dict[Edge, Block] | None = None
         self._without: dict[Edge, tuple[int, ...]] = {}
-        # (u, v, length) with u < v -> a ring through uv, as a vertex tuple
-        self._cycles: dict[tuple[int, int, int], tuple[int, ...]] = {}
         # (length, v) -> the rings of that length through v, in record order
         self._rings: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
@@ -323,51 +320,48 @@ class _Probes:
 
     def cycle(self, a: int, b: int, length: int) -> tuple[bool | None, list[int] | None]:
         """A cycle of ``length`` through edge ab, as an (a, b)-path of
-        ``length - 1`` edges without ab: the ring recorded for the pair, a
-        ring exchanged from a recorded one, or else the result of
-        :meth:`_search`."""
-        known = self._cycles.get((a, b, length) if a < b else (b, a, length))
-        if known is None:
-            known = self._exchange(a, b, length)
-            if known is None:
+        ``length - 1`` edges without ab, found as the class docstring says."""
+        swap = None
+        for ring in self._rings.get((length, a), ()):
+            i = ring.index(a)
+            if ring[i - 1] == b or ring[i + 1 - length] == b:
+                break
+            if swap is None and b in ring:
+                swap = self._exchange(ring, i, ring.index(b))
+        else:
+            if swap is None:
                 found, witness = self._search(a, b, length)
                 if found:
                     self._record(tuple(witness), length)
                 return found, witness
-            self._record(known, length)
+            ring = swap
+            self._record(ring, length)
+            i = ring.index(a)
         self.reused += 1
-        i = known.index(a)
-        if known[i - 1] == b:  # the ring runs a, ..., b as recorded
-            return True, [*known[i:], *known[:i]]
-        return True, [*known[i::-1], *known[:i:-1]]
+        if ring[i - 1] == b:  # the ring runs a, ..., b as recorded
+            return True, [*ring[i:], *ring[:i]]
+        return True, [*ring[i::-1], *ring[:i:-1]]
 
     def _record(self, ring: tuple[int, ...], length: int) -> None:
-        pairs = self._cycles.setdefault
-        for x, y in zip(ring, ring[1:] + ring[:1]):
-            pairs((x, y, length) if x < y else (y, x, length), ring)
         for x in ring:
             self._rings.setdefault((length, x), []).append(ring)
 
-    def _exchange(self, a: int, b: int, length: int) -> tuple[int, ...] | None:
-        """An L-ring through ab made from a recorded L-ring c_0 .. c_{L-1}
-        through a and b, or None. Called on a table miss, so ab is a chord
-        of each such ring: with {a, b} = {c_i, c_j}, i < j, it is not a ring
-        edge, so j >= i + 2 and (i, j) != (0, L - 1). Replacing the ring
+    def _exchange(self, ring: tuple[int, ...], i: int, j: int) -> tuple[int, ...] | None:
+        """An L-ring through the chord c_i c_j of ``ring`` = c_0 .. c_{L-1},
+        or None; i and j come in either order. A chord is not a ring edge:
+        with i < j, j >= i + 2 and (i, j) != (0, L - 1). Replacing the ring
         edges c_i c_{i+1} and c_j c_{j+1} by the chord and c_{i+1} c_{j+1},
         when that is an edge, reverses c_{i+1} .. c_j into a simple L-cycle
-        through ab; failing that, replacing c_{i-1} c_i and c_{j-1} c_j by
-        c_{i-1} c_{j-1} and the chord reverses c_i .. c_{j-1}. Indices are
-        taken mod L, and the rings are tried in the order they were
-        recorded, each with the first exchange before the second."""
+        through the chord; failing that, replacing c_{i-1} c_i and c_{j-1} c_j
+        by c_{i-1} c_{j-1} and the chord reverses c_i .. c_{j-1}. Indices are
+        taken mod L, and the first exchange is tried before the second."""
+        if i > j:
+            i, j = j, i
         adj = self.g.adj
-        for ring in self._rings.get((length, a), ()):
-            if b not in ring:
-                continue
-            i, j = sorted((ring.index(a), ring.index(b)))
-            if adj[ring[i + 1]] >> ring[(j + 1) % length] & 1:
-                return ring[: i + 1] + ring[i + 1 : j + 1][::-1] + ring[j + 1 :]
-            if adj[ring[i - 1]] >> ring[j - 1] & 1:
-                return ring[:i] + ring[i:j][::-1] + ring[j:]
+        if adj[ring[i + 1]] >> ring[(j + 1) % len(ring)] & 1:
+            return ring[: i + 1] + ring[i + 1 : j + 1][::-1] + ring[j + 1 :]
+        if adj[ring[i - 1]] >> ring[j - 1] & 1:
+            return ring[:i] + ring[i:j][::-1] + ring[j:]
         return None
 
     def _search(self, a: int, b: int, length: int) -> tuple[bool | None, list[int] | None]:

@@ -109,7 +109,10 @@ def _run_check(args: argparse.Namespace) -> int:
     codes = []
     for lineno, line, g in _stdin_graphs():
         t0 = time.monotonic()
-        result = checks.check(args.predicate, g, **options).to_json_dict()
+        try:
+            result = checks.check(args.predicate, g, **options).to_json_dict()
+        except GraphError as exc:
+            raise GraphError(f"line {lineno}: {exc}") from exc
         inputs = {"line": lineno, "graph6": line, "predicate": args.predicate}
         if args.budget is not None:
             inputs["budget"] = args.budget

@@ -86,15 +86,15 @@ def sequential_join(parts: list[Graph]) -> Graph:
 
 def wheel(n: int) -> Graph:
     """Hub joined to an (n-1)-cycle; vertex 0 is the hub."""
-    if n < 4:
-        raise GraphError(f"wheel needs order >= 4, got {n}")
+    if not 4 <= n <= MAX_ORDER:
+        raise GraphError(f"wheel needs order 4..{MAX_ORDER}, got {n}")
     return join(complete(1), cycle(n - 1))
 
 
 def fan(n: int) -> Graph:
     """Hub joined to an (n-1)-path; vertex 0 is the hub."""
-    if n < 2:
-        raise GraphError(f"fan needs order >= 2, got {n}")
+    if not 2 <= n <= MAX_ORDER:
+        raise GraphError(f"fan needs order 2..{MAX_ORDER}, got {n}")
     return join(complete(1), path(n - 1))
 
 

@@ -416,8 +416,10 @@ def enumerate_graphs(
     Built-in generation handles n <= 12."""
     if not (0 <= n <= _BUILTIN_MAX_ORDER):
         raise GraphError(f"built-in enumeration supports 0 <= n <= {_BUILTIN_MAX_ORDER}")
-    lo, hi = size_range if size_range is not None else (0, n * (n - 1) // 2)
     nbits = n * (n - 1) // 2
+    lo, hi = size_range if size_range is not None else (0, nbits)
+    if not 0 <= lo <= hi <= nbits:
+        raise GraphError(f"size range {size_range} out of range for order {n}")
     stack: list[_Node] = [([], 0, 0, 0, ())]
     while stack:
         node = stack.pop()

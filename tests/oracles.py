@@ -9,7 +9,8 @@ The exceptions are the reference versions of a library step with a
 shortcut left out, kept to show that the shortcut changes no result:
 ``plain_accepted_children`` (no rejection before canonization),
 ``PlainProbes`` (no cycle-witness reuse), ``ReuseOnlyProbes`` (reuse
-without the chord exchange) and ``plain_find_exact_path`` (the
+without the chord exchange), ``TwoTableProbes`` (each recorded cycle
+also kept in a table keyed by its edges) and ``plain_find_exact_path`` (the
 path DFS with a full residual BFS at every node: b expanded like any
 vertex, no early stop, no one-step close).
 """
@@ -445,7 +446,54 @@ class ReuseOnlyProbes(checks._Probes):
     """The probe engine without the chord exchange: a cycle probe is
     answered by the cycle recorded for its own pair, or else searched."""
 
+    def _exchange(self, ring, i, j):
+        return None
+
+
+class TwoTableProbes(checks._Probes):
+    """The probe engine with a ring stored twice: once per ring edge in a
+    (u, v, length) pair table that keeps the first ring recorded for a
+    pair, and once per vertex in the (length, vertex) ring lists that the
+    chord exchange scans. A probe looks up its pair first and runs the
+    exchange only on a table miss."""
+
+    def __init__(self, g, budget=None):
+        super().__init__(g, budget)
+        self._cycles = {}
+
+    def cycle(self, a, b, length):
+        known = self._cycles.get((a, b, length) if a < b else (b, a, length))
+        if known is None:
+            known = self._exchange(a, b, length)
+            if known is None:
+                found, witness = self._search(a, b, length)
+                if found:
+                    self._record(tuple(witness), length)
+                return found, witness
+            self._record(known, length)
+        self.reused += 1
+        i = known.index(a)
+        if known[i - 1] == b:  # the ring runs a, ..., b as recorded
+            return True, [*known[i:], *known[:i]]
+        return True, [*known[i::-1], *known[:i:-1]]
+
+    def _record(self, ring, length):
+        pairs = self._cycles.setdefault
+        for x, y in zip(ring, ring[1:] + ring[:1]):
+            pairs((x, y, length) if x < y else (y, x, length), ring)
+        for x in ring:
+            self._rings.setdefault((length, x), []).append(ring)
+
     def _exchange(self, a, b, length):
+        adj = self.g.adj
+        for ring in self._rings.get((length, a), ()):
+            if b not in ring:
+                continue
+            i, j = sorted((ring.index(a), ring.index(b)))
+            if adj[ring[i + 1]] >> ring[(j + 1) % length] & 1:
+                return ring[: i + 1] + ring[i + 1 : j + 1][::-1] + ring[j + 1 :]
+            if adj[ring[i - 1]] >> ring[j - 1] & 1:
+                return ring[:i] + ring[i:j][::-1] + ring[j:]
         return None
 
 

@@ -37,6 +37,7 @@ from conftest import random_connected_graph, random_graph
 from oracles import (
     PlainProbes,
     ReuseOnlyProbes,
+    TwoTableProbes,
     all_simple_paths_between,
     edge_spectrum,
     normalized,
@@ -612,6 +613,41 @@ def test_chord_exchange_matches_plain_and_reuse_only_probes(monkeypatch):
                 if ref.verdict is not None:
                     assert got.verdict == ref.verdict
     assert probed < reuse_only_probed
+
+
+def without_elapsed(report):
+    stats = {key: val for key, val in report.stats.items() if key != "elapsed_ms"}
+    return report.verdict, report.evidence, stats
+
+
+def test_one_ring_index_matches_the_two_table_engine(monkeypatch):
+    # The engine that keeps each ring only in the per-vertex lists gives
+    # every answer, witness, counter and budget of the one that also keeps
+    # a pair table: the first listed ring with b next to a is the ring the
+    # table kept, and an exchange is taken only when no ring has ab on it.
+    rng = random.Random(53)
+    corpus = list(NAMED) + [wheel(30), q_graph(25)] + [
+        random_connected_graph(rng, n, density)
+        for n in range(8, 13)
+        for density in (0.3, 0.4, 0.5, 0.6)
+        for _ in range(4)
+    ]
+    reused = 0
+    for g in corpus:
+        probes, ref = checks._Probes(g), TwoTableProbes(g)
+        for e in g.edges():
+            for length in range(3, g.order + 1):
+                assert probes.cycle(e.u, e.v, length) == ref.cycle(e.u, e.v, length)
+        assert (probes.probes, probes.reused, probes.certified) == (
+            ref.probes, ref.reused, ref.certified)
+        reused += probes.reused
+        with monkeypatch.context() as m:
+            m.setattr(checks, "_Probes", TwoTableProbes)
+            refs = [without_elapsed(check(g, budget))
+                    for check in _CHECKS for budget in (None, 5, 40, 300)]
+        assert [without_elapsed(check(g, budget))
+                for check in _CHECKS for budget in (None, 5, 40, 300)] == refs
+    assert reused > 0
 
 
 def test_budget_spectrum_incomplete_flag():

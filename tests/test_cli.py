@@ -110,6 +110,17 @@ def test_construct_usage_errors(monkeypatch, capsys):
     assert code == 2
 
 
+def test_construct_names_the_order_it_rejects(monkeypatch, capsys):
+    # wheel and fan check the order they were given, not the order of the
+    # rim or path they join to the hub.
+    for family, order in (("wheel", 100), ("wheel", 65), ("fan", 100), ("fan", 1)):
+        code, out, err = run_cli(monkeypatch, capsys, ["construct", family, "--n", str(order)])
+        assert code == 2 and out == ""
+        assert f"{family} needs order" in err and f"got {order}" in err
+    code, out, _ = run_cli(monkeypatch, capsys, ["construct", "fan", "--n", "64", "--format", "dot"])
+    assert code == 0 and out.count("--") == 2 * 64 - 3
+
+
 # -- check -------------------------------------------------------------------
 
 
@@ -179,6 +190,18 @@ def test_malformed_graph6_names_line_and_offset(monkeypatch, capsys):
     code, out, err = run_cli(monkeypatch, capsys, ["canon"], stdin="C~~\n")
     assert code == 2 and out == ""
     assert "line 1" in err and "offset" in err
+
+
+def test_graph_a_check_rejects_is_named_by_its_line(monkeypatch, capsys):
+    # Line 1 is checked and reported; the check rejects line 2's order-2
+    # graph, and the error names that line.
+    code, out, err = run_cli(
+        monkeypatch, capsys, ["check", "edge-pancyclic"], stdin="C~\n\nA_\n"
+    )
+    assert code == 2
+    (row,) = envelopes(out)
+    assert row["inputs"]["line"] == 1 and row["result"]["verdict"] is True
+    assert "line 3: edge-pancyclicity needs at least 3 vertices" in err
 
 
 def test_empty_stdin_is_usage_error(monkeypatch, capsys):

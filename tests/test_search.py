@@ -110,25 +110,36 @@ def test_generator_order_bound():
         next(enumerate_graphs(13))
 
 
+def test_generator_rejects_bad_size_range():
+    # A size range outside 0 .. n(n-1)/2, or with lo > hi, is an error, not
+    # an empty (or unbounded) walk.
+    for size_range in ((5, 2), (-5, 99), (-1, 3), (0, 7), (7, 7)):
+        with pytest.raises(GraphError):
+            next(enumerate_graphs(4, size_range))
+    assert sum(1 for _ in enumerate_graphs(4, (0, 6))) == 11
+    assert sum(1 for _ in enumerate_graphs(4, (6, 6))) == 1
+
+
 # -- the covered-universe generator ---------------------------------------------
 
 
 def test_covered_generator_against_edge_generator():
-    for n, want in ((3, 1), (4, 2), (5, 7), (6, 32), (7, 220)):
+    for n, want in ((3, 1), (4, 2), (5, 7), (6, 32), (7, 220), (8, 2654)):
         via_triangles = {
-            canonical_code(g).bits
+            canonical_code(g).bits: g.size
             for g in enumerate_covered_graphs(n, n * (n - 1) // 2)
         }
         assert len(via_triangles) == want
-        if n <= 6:
-            via_edges = {
-                canonical_code(g).bits
-                for g in enumerate_graphs(n)
-                if g.size > 0
-                and min(g.degrees()) > 0
-                and has_triangle_cover(g).verdict
-            }
-            assert via_triangles == via_edges
+        via_edges = {
+            canonical_code(g).bits: g.size
+            for g in enumerate_graphs(n)
+            if g.size > 0
+            and min(g.degrees()) > 0
+            and has_triangle_cover(g).verdict
+        }
+        # Class counts per size first: a mismatch then shows which sizes.
+        assert Counter(via_triangles.values()) == Counter(via_edges.values()), n
+        assert via_triangles.keys() == via_edges.keys(), n
     # min_deg_final is a floor on every yielded graph.
     for n in (5, 6, 7):
         floored = {
