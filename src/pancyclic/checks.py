@@ -386,23 +386,20 @@ class _Probes:
         self.probes += 1
         return _probe(adj, a, b, length - 1, self.shared)
 
-    def lengths(
-        self, a: int, b: int, targets: Iterable[int]
-    ) -> tuple[frozenset[int], int | None]:
-        """Cycle lengths through edge ab among ``targets`` (probed ascending,
-        those outside 3 .. order skipped), and the length at which the budget
+    def lengths(self, a: int, b: int, targets: range) -> tuple[frozenset[int], int | None]:
+        """Cycle lengths through edge ab among ``targets``, an ascending range
+        inside 3 .. order, probed in order; and the length at which the budget
         stopped the probing, or None when it did not."""
         n = self.g.order
         if not (0 <= a < n and 0 <= b < n and self.g.has_edge(a, b)):
             raise GraphError(f"({a}, {b}) is not an edge of the graph")
         found = set()
-        for length in sorted(set(targets)):
-            if 3 <= length <= self.g.order:
-                ok, _ = self.cycle(a, b, length)
-                if ok is None:
-                    return frozenset(found), length
-                if ok:
-                    found.add(length)
+        for length in targets:
+            ok, _ = self.cycle(a, b, length)
+            if ok is None:
+                return frozenset(found), length
+            if ok:
+                found.add(length)
         return frozenset(found), None
 
     def report(self, predicate: str, verdict: bool | None, evidence: dict) -> CheckReport:
@@ -472,30 +469,22 @@ def path_length_set(
     )
 
 
-def edge_cycle_lengths(
-    g: Graph, e: tuple[int, int], targets: tuple[int, ...] | None = None
-) -> frozenset[int]:
-    """Exact set of cycle lengths through edge ``e`` (within ``targets``)."""
-    if targets is None:
-        targets = tuple(range(3, g.order + 1))
-    return _Probes(g).lengths(*e, targets)[0]
+def edge_cycle_lengths(g: Graph, e: tuple[int, int]) -> frozenset[int]:
+    """Exact set of cycle lengths (3 .. order) through edge ``e``."""
+    return _Probes(g).lengths(*e, range(3, g.order + 1))[0]
 
 
 def cycle_spectrum(
-    g: Graph,
-    edges: list[tuple[int, int]] | None = None,
-    targets: tuple[int, ...] | None = None,
-    budget: int | None = None,
+    g: Graph, edges: list[tuple[int, int]] | None = None, *, budget: int | None = None
 ) -> CycleSpectrum:
-    """Per-edge cycle length sets; budget (total DFS nodes) may leave it
-    incomplete, in which case only confirmed lengths appear."""
+    """Per-edge sets of cycle lengths 3 .. order, for ``edges`` (default:
+    every edge); budget (total DFS nodes) may leave it incomplete, in which
+    case only confirmed lengths appear."""
     probe_edges = [Edge.of(*e) for e in edges] if edges is not None else list(g.edges())
-    if targets is None:
-        targets = tuple(range(3, g.order + 1))
     probes = _Probes(g, budget)
     table: dict[Edge, frozenset[int]] = {}
     for e in probe_edges:
-        table[e], stopped = probes.lengths(e.u, e.v, targets)
+        table[e], stopped = probes.lengths(e.u, e.v, range(3, g.order + 1))
         if stopped is not None:
             return CycleSpectrum(lengths_by_edge=table, complete=False)
     return CycleSpectrum(lengths_by_edge=table, complete=True)

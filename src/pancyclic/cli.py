@@ -317,6 +317,18 @@ def _run_verify(args: argparse.Namespace) -> int:
 # -- parser wiring -----------------------------------------------------------
 
 
+def _non_negative(text: str) -> int:
+    """argparse type of a count option: an integer >= 0, checked before any
+    input is read."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pancyclic",
@@ -349,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "option's help) exits 2 before stdin is read.",
     )
     p.add_argument("predicate", choices=tuple(checks.PREDICATES))
-    p.add_argument("--budget", type=int,
+    p.add_argument("--budget", type=_non_negative,
                    help="edge-pancyclic, vertex-pancyclic and pancyclic only: "
                         "total DFS node cap per checked graph, shared by all of "
                         "its (edge, length) probes; lengths certified absent by "
@@ -359,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "stats.probes counts DFS probes only; default unlimited")
     p.add_argument("--witnesses", action="store_true", default=None,
                    help="edge-pancyclic only: include one cycle per (edge, length)")
-    p.add_argument("--kappa", type=int,
+    p.add_argument("--kappa", type=_non_negative,
                    help="connectivity only: required lower bound on the vertex "
                         "connectivity, at least 0 (default 1)")
     p.set_defaults(func=_run_check)
@@ -367,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "spectrum", help="per-edge cycle length sets for stdin graphs"
     )
-    p.add_argument("--budget", type=int,
+    p.add_argument("--budget", type=_non_negative,
                    help="total DFS node cap per graph, shared by all of its "
                         "(edge, length) probes; lengths certified absent by the "
                         "edge's block spend none, nor do pairs answered by a "
@@ -430,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "without it, order 9 has no constructed witness and "
                         "silently runs the exhaustive walk, which takes about "
                         "a minute")
-    p.add_argument("--budget", type=int,
+    p.add_argument("--budget", type=_non_negative,
                    help="one total DFS node cap for thm5/hk-props, P5 spectrum "
                         "included; a check it stops exits 3; default unlimited")
     p.add_argument("--workers", type=int,

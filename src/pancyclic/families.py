@@ -3,8 +3,9 @@
 Vertices are 0-based integers everywhere. Families whose structure has
 named parts (rim/spoke vertices, fan centres, block shares) also return a
 label map from conventional names like ``v1`` or ``u3`` to vertex indices,
-so DOT output and the property batteries can point at the right vertices.
-Vertex numbering inside each constructor is fixed and documented inline.
+so the CLI's ``--labels`` line and the property batteries can point at the
+right vertices. Vertex numbering inside each constructor is fixed and
+documented inline.
 """
 
 from __future__ import annotations
@@ -51,13 +52,7 @@ def empty(n: int) -> Graph:
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus all edges between the two parts (g first)."""
-    n = g.order + h.order
-    if n > MAX_ORDER:
-        raise GraphError(f"join would have order {n} > {MAX_ORDER}")
-    edges = [(u, v) for u, v in g.edges()]
-    edges += [(u + g.order, v + g.order) for u, v in h.edges()]
-    edges += [(u, v + g.order) for u in range(g.order) for v in range(h.order)]
-    return build_graph(n, edges)
+    return sequential_join([g, h])
 
 
 def sequential_join(parts: list[Graph]) -> Graph:

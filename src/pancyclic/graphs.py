@@ -261,22 +261,11 @@ def graph_from_bits(n: int, bits: int) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def emit_dot(g: Graph, labels: dict[str, int] | None = None) -> str:
+def emit_dot(g: Graph) -> str:
     """Render as Graphviz DOT with deterministic vertex and edge order."""
-    names = {}
-    if labels:
-        for name, v in labels.items():
-            if not (0 <= v < g.order):
-                raise GraphError(f"label {name!r} names vertex {v} outside the graph")
-            if v in names:
-                raise GraphError(f"vertex {v} carries two labels: {names[v]!r}, {name!r}")
-            names[v] = name
     lines = ["graph g {"]
     for v in range(g.order):
-        if v in names:
-            lines.append(f'  {v} [label="{names[v]}"];')
-        else:
-            lines.append(f"  {v};")
+        lines.append(f"  {v};")
     for u, v in g.edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")

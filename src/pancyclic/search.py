@@ -102,10 +102,6 @@ _TASKS_PER_WORKER = 16  # split frontier: queued tree nodes per worker process
 BUDGET_NOTE = "budget exhausted before full coverage"
 
 
-class SearchBudgetExceeded(Exception):
-    """Raised internally when a class budget stops a search before completion."""
-
-
 @dataclass(frozen=True)
 class GraphFilter:
     """Picklable leaf filter: minimum degree, connectivity, then predicate.
@@ -563,11 +559,12 @@ def _covered_children(rows: list[int], act: int, m: int, tree: _Tree) -> Iterato
 def _walk_covered(
     tree: _Tree, root: _Node, survey: _CoveredSurvey,
     class_budget: int | None = None, frontier: int | None = None,
-) -> list[_Node]:
+) -> list[_Node] | None:
     # Depth-first walk. With ``frontier`` set, the walk is breadth-first
     # instead and stops once that many nodes wait in its queue; the waiting
     # nodes, each with its canonical code, are returned as subtree roots
-    # (parallel split points). A tree that ends first returns none.
+    # (parallel split points). A tree that ends first returns none. Returns
+    # None when ``class_budget`` stops the walk.
     n, keep = tree.n, tree.keep
     queue: deque[_Node] = deque([root])
     pop = queue.pop if frontier is None else queue.popleft
@@ -576,7 +573,7 @@ def _walk_covered(
         rows, act, m, code, _ = node
         survey.classes_seen += 1
         if class_budget is not None and survey.classes_seen > class_budget:
-            raise SearchBudgetExceeded
+            return None
         if act == n and m >= tree.size_lo:
             survey.exact_order_by_size[m] += 1
             if keep.passes(Graph(act, tuple(rows))):
@@ -671,12 +668,11 @@ def _survey_covered(
         return survey, True
     nworkers = resolve_workers(workers)
     split = nworkers > 1 and class_budget is None
-    try:
-        pending = _walk_covered(
-            tree, ([], 0, 0, 0, ()), survey, class_budget,
-            frontier=_TASKS_PER_WORKER * nworkers if split else None,
-        )
-    except SearchBudgetExceeded:
+    pending = _walk_covered(
+        tree, ([], 0, 0, 0, ()), survey, class_budget,
+        frontier=_TASKS_PER_WORKER * nworkers if split else None,
+    )
+    if pending is None:
         return survey, False
     if pending:
         with multiprocessing.Pool(nworkers) as pool:

@@ -273,6 +273,23 @@ def test_unread_option_is_usage_error(monkeypatch, capsys, tmp_path):
     assert child.returncode == 2 and child.stdout == "" and "--budget" in child.stderr
 
 
+def test_negative_count_option_exits_before_reading_input(monkeypatch, capsys):
+    # A negative --budget or --kappa is a usage error of the command line
+    # itself, named before the first stdin line is read.
+    for argv, option in (
+        (["check", "connectivity", "--kappa", "-1"], "--kappa"),
+        (["check", "pancyclic", "--budget", "-1"], "--budget"),
+        (["spectrum", "--budget", "-1"], "--budget"),
+    ):
+        stdin = io.StringIO("C~\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert exit_.value.code == 2 and out == "" and option in err, argv
+        assert "line 1" not in err and stdin.tell() == 0, argv
+
+
 # A value for every option that some table row reads; None marks a flag.
 OPTION_VALUES = {
     "n": "6", "k": "3", "kind": "F", "parts": "K1", "budget": "100",

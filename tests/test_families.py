@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from pancyclic import (
@@ -10,9 +12,12 @@ from pancyclic import (
     GraphError,
     a_graph,
     are_isomorphic,
+    build_graph,
     complete,
     cycle,
     diameter,
+    emit_dot,
+    emit_graph6,
     empty,
     fan,
     g_ring,
@@ -63,6 +68,38 @@ def test_join_against_wheel():
     assert are_isomorphic(join(complete(1), cycle(4)), wheel(5))
     g = join(path(2), empty(3))
     assert (g.order, g.size) == (5, 1 + 6)
+
+
+def test_join_is_the_two_part_sequential_join():
+    # Same vertex numbering, not only the same class: g's vertices first,
+    # then h's shifted by g.order, and every edge between the two parts.
+    for g, h in ((complete(1), cycle(4)), (path(2), empty(3)), (cycle(5), complete(2))):
+        n = g.order + h.order
+        edges = list(g.edges()) + [(u + g.order, v + g.order) for u, v in h.edges()]
+        edges += [(u, g.order + v) for u in range(g.order) for v in range(h.order)]
+        assert join(g, h) == sequential_join([g, h]) == build_graph(n, edges)
+    with pytest.raises(GraphError, match="sequential join would have order 70 > 64"):
+        join(complete(40), empty(30))
+
+
+def test_constructions_match_their_frozen_text():
+    # graph6 and DOT of the joins and of the families built on them, as one
+    # digest: a change to any vertex numbering or to the DOT text shows here.
+    graphs = [
+        wheel(4), wheel(9), fan(7), join(complete(1), cycle(4)), join(path(2), empty(3)),
+        join(cycle(5), complete(2)),
+        sequential_join([complete(1), cycle(3), empty(2), complete(2)]),
+        q_graph(13), h_block(3).graph,
+    ]
+    for name, options in (
+        ("join", {"parts": ["K1", "C5"]}), ("seq-join", {"parts": ["K2", "C3", "E2", "K1"]}),
+        ("wheel", {"n": 7}), ("fan", {"n": 6}),
+    ):
+        graphs.append(FamilySpec(name, **options).build()[0])
+    text = "".join(emit_graph6(g) + "\n" + emit_dot(g) for g in graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a47ebb9256e2de917f6a000523a01de577dbdea6943de1825e3b307ac6ed0092"
+    )
 
 
 def test_sequential_join_chains_consecutive_parts_only():

@@ -27,6 +27,7 @@ from pancyclic import (
     min_degree,
     parse_graph6,
     vertex_connectivity,
+    wheel,
 )
 from pancyclic.graphs import Block, edge_blocks, graph6_from_bits, graph_from_bits
 from conftest import random_graph
@@ -202,6 +203,16 @@ def test_emit_dot_deterministic():
     out = emit_dot(g)
     assert out == emit_dot(g)
     assert "0 -- 1" in out and "1 -- 2" in out
+
+
+def test_emit_dot_text_of_wheel_4():
+    # Every vertex line in order, then every edge (u < v) in row order.
+    assert emit_dot(wheel(4)) == (
+        "graph g {\n"
+        "  0;\n  1;\n  2;\n  3;\n"
+        "  0 -- 1;\n  0 -- 2;\n  0 -- 3;\n  1 -- 2;\n  1 -- 3;\n  2 -- 3;\n"
+        "}\n"
+    )
 
 
 # -- layers, connectivity ------------------------------------------------------

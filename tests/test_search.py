@@ -294,6 +294,22 @@ def test_min_size_edge_pancyclic_small():
     assert out5.counts["floor"] == 8
 
 
+def test_min_size_edge_pancyclic_through_the_edge_tree():
+    # A second route to f(n) = 2n - 2: the edge tree walks every graph, not
+    # only the covered ones, through the same leaf filter. No graph of at
+    # most 2n - 3 edges passes it, and those of 2n - 2 edges that pass are
+    # exactly the covered search's witnesses (that half takes about 11 s at
+    # n = 9, so it stops at n = 8).
+    for n in (7, 8, 9):
+        keep = search._leaf_filter("edge-pancyclic", n)
+        assert next(enumerate_graphs(n, (0, 2 * n - 3), graph_filter=keep), None) is None, n
+    for n in (7, 8):
+        keep = search._leaf_filter("edge-pancyclic", n)
+        at_wheel = enumerate_graphs(n, (2 * n - 2, 2 * n - 2), graph_filter=keep)
+        found = sorted(emit_graph6(g) for g in at_wheel)
+        assert found == min_size_edge_pancyclic(n).witnesses, n
+
+
 def test_min_size_triangle_cover_spec_values():
     out = min_size_triangle_cover(9, 2)
     assert out.value == 14 and out.exhaustive
