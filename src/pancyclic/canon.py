@@ -18,11 +18,19 @@ is enough for a caller that skips work by symmetry: a subgroup orbit lies
 inside an orbit of the whole group, so the points it joins are equivalent;
 a smaller orbit only means that fewer points are skipped.
 
-The first refinement splits the single cell by degree, highest first, and
-later steps only split cells. So every labeling, the canonical one
-included, puts a vertex of higher degree at a smaller position:
-``deg u > deg v`` implies ``sigma(u) < sigma(v)``. The augmentation trees
-in :mod:`.search` use this to reject children before canonizing them.
+The root of the search is the equitable refinement of the unit partition
+(:func:`_root`). Its first split is by degree, highest first, and every
+later step, in refinement or below the root, only splits a cell in place,
+ordering the parts by neighbour counts that do not depend on the labels.
+So the root cell order is an isomorphism invariant, an automorphism maps
+each root cell onto itself, and every labeling, the canonical one
+included, respects it: ``cell u < cell v`` implies ``sigma(u) <
+sigma(v)``, and ``deg u > deg v`` implies ``cell u < cell v``. The
+augmentation trees in :mod:`.search` read these ranks to reject children
+before canonizing them. A caller that has computed the root passes it to
+:func:`_canonize`, which resumes from it (it copies the root's stable set
+and changes nothing in it), so the root is refined once; the search is
+then the same as without it.
 
 Two bookkeeping devices make this cheaper without changing which nodes
 are visited, in which order, or what each node computes, so every code
@@ -70,6 +78,10 @@ class CanonicalCode:
         """The canonical graph's graph6 string: the code's bits are its body,
         zero-padded at the front instead of at the end."""
         return graph6_from_bits(self.order, int.from_bytes(self.bits, "big"))
+
+
+# cells, their masks, the non-singleton cell indices, the stable masks
+_Root = tuple[list[list[int]], list[int], list[int], set[int]]
 
 
 def _mask(cell: list[int]) -> int:
@@ -162,12 +174,9 @@ class _Canonizer:
         self.gens: list[tuple[int, list[tuple[int, int]]]] = []
         self.gen_set: set[tuple[int, ...]] = set()
 
-    def run(self) -> None:
-        if self.n == 0:
-            self.best_code = 0
-            self.best_perm = []
-            return
-        self._node([list(range(self.n))], [(1 << self.n) - 1], set(), 0, 0)
+    def run(self, root: _Root) -> None:
+        cells, masks, multi, stable = root
+        self._node(cells, masks, multi, set(stable), 0)
 
     def _leaf(self, cells: list[list[int]]) -> None:
         perm = [c[0] for c in cells]
@@ -202,10 +211,10 @@ class _Canonizer:
             self.gens.append((support, moves))
 
     def _node(
-        self, cells: list[list[int]], masks: list[int], stable: set[int], fixed: int,
-        start: int,
+        self, cells: list[list[int]], masks: list[int], multi: list[int], stable: set[int],
+        fixed: int,
     ) -> None:
-        cells, masks, multi = _refine(self.adj, cells, masks, stable, start)
+        # ``cells`` is equitable and ``multi`` lists its non-singleton cells.
         if not multi:
             self._leaf(cells)
             return
@@ -246,13 +255,15 @@ class _Canonizer:
                         continue
             tried.append(v)
             bit = 1 << v
-            self._node(
+            sub = stable.copy()
+            ccells, cmasks, cmulti = _refine(
+                self.adj,
                 head + [[v], [w for w in cell if w != v]] + tail,
                 mhead + [bit, tmask ^ bit] + mtail,
-                stable.copy(),
-                fixed | bit,
+                sub,
                 target,
             )
+            self._node(ccells, cmasks, cmulti, sub, fixed | bit)
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -262,13 +273,30 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _canonize(g: Graph) -> tuple[int, list[int], tuple[tuple[int, ...], ...]]:
+def _root(g: Graph) -> _Root:
+    """The root of the search tree of ``g``: its equitable refinement of the
+    unit partition, as ``(cells, masks, multi, stable)``, the cells in order,
+    their vertex masks, the indices of the non-singleton cells and the masks
+    known to split nothing. The cell order is an isomorphism invariant, and
+    every labeling, the canonical one included, respects it (see the module
+    docstring). :func:`_canonize` resumes from it without changing it."""
+    cells = [list(range(g.order))] if g.order else []
+    stable: set[int] = set()
+    cells, masks, multi = _refine(g.adj, cells, [_mask(c) for c in cells], stable, 0)
+    return cells, masks, multi, stable
+
+
+def _canonize(
+    g: Graph, root: _Root | None = None
+) -> tuple[int, list[int], tuple[tuple[int, ...], ...]]:
     """Canonical ``(code_int, labeling, generators)``: the labeling maps
     position -> vertex; each generator ``gamma`` is an automorphism of ``g``
     sending ``v`` to ``gamma[v]``, and together they generate a subgroup of
-    Aut(g) (see the module docstring)."""
+    Aut(g) (see the module docstring). ``root``, if given, is ``_root(g)``,
+    computed earlier by a caller that read the cells; the result is the same
+    as without it."""
     c = _Canonizer(g)
-    c.run()
+    c.run(_root(g) if root is None else root)
     assert c.best_perm is not None
     return c.best_code, c.best_perm, tuple(c.gen_set)
 

@@ -46,15 +46,22 @@ exact, and every class, count and witness is the same as without them:
   maps a move to a move with an isomorphic child, so a move in the orbit of
   an earlier one is skipped: the plain step would have dropped its child as
   a repeated code, or rejected it as it rejected the earlier one.
-* Degree pre-filter (:func:`_rejects`). Canon places a vertex of higher
-  degree first, so if hi(e), the larger endpoint degree of edge e, exceeds
-  hi(f), then e's relabeled pair comes before f's. Let h be the largest hi
-  of an added edge. A removable set whose edges all have hi below h has a
+* Rank pre-filter (:func:`_rejects`). A rank is a vertex invariant of the
+  child that every canonical labeling respects: a vertex of smaller rank
+  gets a smaller position. Let t be the smallest rank of an endpoint of an
+  added edge. A removable set whose endpoints all rank above t has a
   larger key than the added set and than every set in its orbit, since
-  each of those holds an edge of hi h; so the canonical removal is not in
-  that orbit and the child is rejected. If the child's class has this
-  parent, another move of the parent adds a set that an isomorphism maps
-  onto the canonical removal, passes the filter, and reaches the class.
+  each of those holds an edge with an endpoint of rank t, placed before
+  all of that set's endpoints; so the canonical removal is not in that
+  orbit and the child is rejected. If the child's class has this parent,
+  another move of the parent adds a set that an isomorphism maps onto the
+  canonical removal, passes the filter, and reaches the class. The filter
+  runs twice: on negated degrees, then on the cell index in the child's
+  root equitable partition, which canon splits by degree first and then
+  only refines (:mod:`.canon`). So the cell pass rejects every child the
+  degree pass rejects, and more; the degree pass runs first because it
+  needs no refinement. A child that passes both is canonized from that
+  same root, so it is refined once.
 
 Every covered-tree search is one :class:`_Tree` spec, one walk and one
 :func:`_extremal` reduction; :func:`_leaf_filter` is the one place where
@@ -79,7 +86,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from . import checks
-from .canon import _canonize, canonical_graph
+from .canon import _canonize, _root, canonical_graph
 from .graphs import (
     Graph,
     Graph6Error,
@@ -231,7 +238,8 @@ def _accepted_children(
     A child is accepted iff undoing its :func:`_canonical_removal` gives a
     graph isomorphic to ``node``; a parent other than ``node`` is told by its
     sorted degree sequence (hence active count and size) before it is
-    canonized. Two exact rejections run before a child is canonized:
+    canonized. Two exact rejections run before a child is canonized, the
+    second in two passes:
 
     * Orbit pruning. ``seen_moves``, the added edge sets met so far, is
       closed under the generators of ``node``, with every fresh vertex fixed.
@@ -242,8 +250,10 @@ def _accepted_children(
       as a repeated code, or it was rejected by :func:`_rejects`, which
       answers alike on a whole orbit. The generators may span only a
       subgroup of Aut(node); smaller orbits only skip fewer moves.
-    * :func:`_rejects`, the degree pre-filter, is True only if the child's
-      canonical removal lies outside the orbit of ``added`` under
+    * :func:`_rejects`, the rank pre-filter, first on negated degrees, then
+      on the cells of the child's root partition (:func:`.canon._root`,
+      which :func:`_canonize` then resumes from), is True only if the
+      child's canonical removal lies outside the orbit of ``added`` under
       Aut(child); it reads invariants of the child with ``added`` marked,
       so it answers alike on an orbit. A rejected child is not lost: if
       undoing its canonical removal gives ``node``, an isomorphism from that
@@ -261,9 +271,17 @@ def _accepted_children(
         if move in seen_moves:
             continue
         _add_orbit(seen_moves, move, gens, act)
-        if _rejects(child, new_act, added, sets, removable):
+        if _rejects([-r.bit_count() for r in child], child, new_act, added, sets, removable):
             continue
-        ccode, perm, cgens = _canonize(Graph(new_act, tuple(child)))
+        g = Graph(new_act, tuple(child))
+        root = _root(g)
+        cell = [0] * new_act
+        for i, vs in enumerate(root[0]):
+            for v in vs:
+                cell[v] = i
+        if _rejects(cell, child, new_act, added, sets, removable):
+            continue
+        ccode, perm, cgens = _canonize(g, root)
         if (new_act, ccode) in seen_codes:
             continue
         seen_codes.add((new_act, ccode))
@@ -327,36 +345,40 @@ def _canonical_removal(
 
 
 def _rejects(
-    rows: list[int], act: int, added: _Edges, sets: _Sets, removable: _Removable,
+    rank: list[int], rows: list[int], act: int, added: _Edges, sets: _Sets,
+    removable: _Removable,
 ) -> bool:
-    """The degree pre-filter: True if some removable set has every edge's hi,
-    its larger endpoint degree, below h, the largest hi of an added edge.
+    """The rank pre-filter: True if some removable set has every endpoint's
+    rank above t, the smallest rank of an endpoint of an added edge.
 
-    Canon places a vertex of higher degree first, so hi(e) > hi(f) puts e's
-    relabeled pair before f's. Each set in the orbit of ``added`` under
-    Aut(child) has an edge of hi h, whose pair comes before the pair of
-    every edge of such a removable set; so that set's key, which starts with
-    its smallest pair, is larger than the key of every set in the orbit, and
-    the canonical removal, the set of largest key, lies outside the orbit.
+    ``rank`` must be an isomorphism invariant of the child that every
+    canonical labeling sigma respects: rank u < rank v implies sigma(u) <
+    sigma(v). Two ranks qualify (see :mod:`.canon`): negated degrees, and the
+    cell index in the child's root equitable partition. Each set in the
+    orbit of ``added`` under Aut(child) has an endpoint x of rank t, since an
+    automorphism keeps ranks. Every endpoint of such a removable set comes
+    after x under sigma, so the relabeled pair of x's edge comes before the
+    pair of every edge of that set; so that set's key, which starts with its
+    smallest pair, is larger than the key of every set in the orbit, and the
+    canonical removal, the set of largest key, lies outside the orbit.
     """
-    degs = [r.bit_count() for r in rows]
-    h = 0
+    t = rank[added[0][0]]
     for a, b in added:
-        if degs[a] > h:
-            h = degs[a]
-        if degs[b] > h:
-            h = degs[b]
+        if rank[a] < t:
+            t = rank[a]
+        if rank[b] < t:
+            t = rank[b]
     for a in range(act):
-        if degs[a] < h:
+        if rank[a] > t:
             nb = rows[a] & -(2 << a)  # each edge once, from its smaller end
             while nb:
                 bit = nb & -nb
                 b = bit.bit_length() - 1
                 nb ^= bit
-                if degs[b] < h:
+                if rank[b] > t:
                     for cand in sets(rows, a, b):
                         for u, v in cand:
-                            if degs[u] >= h or degs[v] >= h:
+                            if rank[u] <= t or rank[v] <= t:
                                 break
                         else:
                             if removable(rows, cand):
@@ -524,35 +546,39 @@ def _covered_children(rows: list[int], act: int, m: int, tree: _Tree) -> Iterato
     if budget <= 0:
         return
     padded = rows + [0, 0, 0]
+    # Each vertex's shortfall below the leaf filter's degree floor, and their
+    # total over all n vertices; a move lowers it only at its 3 vertices, and
+    # cut[x][g] is how much g new edges at x lower it.
+    short = [max(floor - r.bit_count(), 0) for r in padded]
+    total = sum(short[:act]) + floor * (n - act)
+    cut = [(0, min(s, 1), min(s, 2)) for s in short]
     for u, v, w in _clique_sets(act, n, 3):
-        missing = []
-        if not (padded[u] >> v) & 1:
-            missing.append((u, v))
-        if not (padded[u] >> w) & 1:
-            missing.append((u, w))
-        if not (padded[v] >> w) & 1:
-            missing.append((v, w))
-        if not missing or len(missing) > budget:
+        uv = not (padded[u] >> v) & 1
+        uw = not (padded[u] >> w) & 1
+        vw = not (padded[v] >> w) & 1
+        k = uv + uw + vw
+        if not k or k > budget:
             continue
         new_act = max(act, w + 1)
-        new_m = m + len(missing)
+        new_m = m + k
         # Activation bound: each future edge activates at most one vertex.
         if new_act + (m_hi - new_m) < n:
             continue
+        # Degree bound: each future edge cuts the total shortfall by at most 2.
+        deficit = total - cut[u][uv + uw] - cut[v][uv + vw] - cut[w][uw + vw]
+        if deficit > 2 * (m_hi - new_m):
+            continue
+        missing = []
+        if uv:
+            missing.append((u, v))
+        if uw:
+            missing.append((u, w))
+        if vw:
+            missing.append((v, w))
         child = padded[:new_act]
         for a, b in missing:
             child[a] |= 1 << b
             child[b] |= 1 << a
-        # Degree bound: each future edge cuts the total deficit below the
-        # leaf filter's degree floor by at most 2.
-        if floor > 0:
-            deficit = floor * (n - new_act)
-            for x in range(new_act):
-                d = child[x].bit_count()
-                if d < floor:
-                    deficit += floor - d
-            if deficit > 2 * (m_hi - new_m):
-                continue
         yield child, new_act, new_m, tuple(missing)
 
 
@@ -593,12 +619,15 @@ def enumerate_covered_graphs(
     isomorphism class.
 
     ``min_deg_final`` is a floor on every yielded graph; it also prunes the
-    walk. Each edge in a triangle already gives minimum degree 2, so the
-    default of 2 filters nothing. Built-in generation handles n <= 12."""
+    walk, and a negative one is an error. Each edge in a triangle already
+    gives minimum degree 2, so the default of 2 filters nothing. Built-in
+    generation handles n <= 12."""
     if not 0 <= n <= _BUILTIN_MAX_ORDER:
         raise GraphError(f"covered enumeration supports 0 <= n <= {_BUILTIN_MAX_ORDER}")
     if max_size < 0:
         raise GraphError(f"size cap must be >= 0, got {max_size}")
+    if min_deg_final < 0:
+        raise GraphError(f"degree floor must be >= 0, got {min_deg_final}")
     tree = _Tree(n, max_size, GraphFilter(min_degree=min_deg_final))
     survey, _ = _survey_covered(tree, workers=1)
     for code in survey.survivors:

@@ -21,7 +21,7 @@ from pancyclic import (
     empty,
     join,
 )
-from pancyclic.canon import _canonize
+from pancyclic.canon import _canonize, _pack, _root
 from conftest import random_graph
 from oracles import (
     burnside_class_count,
@@ -203,6 +203,55 @@ def test_canonize_matches_reference_loops():
         assert (code, perm) == reference_canonize(g.order, g.edges()), g.edges()
 
 
+def test_canonize_from_the_root_matches_the_plain_call():
+    # The covered walk computes a child's root partition first and resumes
+    # canon from it: code, labeling and generator set are the same, and the
+    # root is left as it was.
+    for g in _canon_corpus():
+        root = _root(g)
+        before = repr(root)
+        code, perm, gens = _canonize(g, root)
+        want_code, want_perm, want_gens = _canonize(g)
+        assert (code, perm, set(gens)) == (want_code, want_perm, set(want_gens)), g.edges()
+        assert repr(root) == before
+
+
+def _cells(g):
+    cell = [0] * g.order
+    for i, vs in enumerate(_root(g)[0]):
+        for v in vs:
+            cell[v] = i
+    return cell
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_order=10))
+def test_root_cells_order_every_labeling_property(g):
+    # The rank pre-filter of the augmentation trees rests on these two
+    # facts: the canonical labeling puts a vertex of an earlier root cell at
+    # a smaller position, and a vertex of higher degree lies in an earlier
+    # root cell. Both hold for a relabeled copy too, whose root cells are
+    # the relabeled root cells.
+    rng = random.Random(g.size)
+    moved = list(range(g.order))
+    rng.shuffle(moved)
+    copy = g.relabel(tuple(moved))
+    copy_cell = _cells(copy)
+    assert [copy_cell[moved[v]] for v in range(g.order)] == _cells(g), g.edges()
+    for h in (g, copy):
+        cell = _cells(h)
+        _, perm, _ = _canonize(h)
+        sigma = [0] * h.order
+        for pos, v in enumerate(perm):
+            sigma[v] = pos
+        for u in range(h.order):
+            for v in range(h.order):
+                if cell[u] < cell[v]:
+                    assert sigma[u] < sigma[v], (h.edges(), u, v)
+                if h.degree(u) > h.degree(v):
+                    assert cell[u] < cell[v], (h.edges(), u, v)
+
+
 def test_canonize_generators_are_automorphisms():
     # The search skips moves by these generators, so each must map every
     # edge to an edge; the symmetric graphs must yield some.
@@ -251,6 +300,20 @@ def test_canonical_labeling_frozen_corpus():
     for g in corpus:
         lab = ",".join(map(str, canonical_labeling(g)))
         digest.update(f"{g.order}:{canonical_code(g).hex()}:{lab}\n".encode())
+    assert digest.hexdigest() == FROZEN_CORPUS_SHA256
+
+
+def test_frozen_corpus_through_the_root_path():
+    # The same digest when every graph is canonized from its root partition,
+    # as the augmentation trees do.
+    digest = hashlib.sha256()
+    for g in _frozen_corpus():
+        code, perm, _ = _canonize(g, _root(g))
+        lab = [0] * g.order
+        for pos, v in enumerate(perm):
+            lab[v] = pos
+        text = f"{g.order}:{_pack(g.order, code).hex()}:{','.join(map(str, lab))}\n"
+        digest.update(text.encode())
     assert digest.hexdigest() == FROZEN_CORPUS_SHA256
 
 

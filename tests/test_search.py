@@ -167,6 +167,9 @@ def test_covered_generator_rejects_bad_parameters():
     for n, max_size in ((-1, 5), (65, 3), (search._BUILTIN_MAX_ORDER + 1, 3), (5, -3)):
         with pytest.raises(GraphError):
             next(enumerate_covered_graphs(n, max_size))
+    # A negative degree floor is an error too, not a walk with no floor.
+    with pytest.raises(GraphError, match="degree floor"):
+        next(enumerate_covered_graphs(5, 10, min_deg_final=-3))
     assert list(enumerate_covered_graphs(5, 0)) == []
 
 
@@ -218,7 +221,8 @@ def test_canonical_removal_matches_brute_force():
 
 def test_pruned_step_accepts_the_plain_steps_classes(monkeypatch):
     # At every node of both trees, the acceptance step with orbit pruning
-    # alone and with the degree pre-filter too must accept the classes the
+    # alone, with the degree pass of the rank pre-filter too, and with both
+    # its passes (degrees, then root cells) must accept the classes the
     # unpruned step accepts. The pre-filter may reach a class through
     # another move, with other labels, so codes are compared, not rows.
     # Each node's moves must also be the case-by-case oracle's, in its order.
@@ -227,16 +231,21 @@ def test_pruned_step_accepts_the_plain_steps_classes(monkeypatch):
     calls = Counter()
     which = ["pruned"]
 
-    def counted(g):
+    def counted(g, root=None):
         calls[which[0]] += 1
-        return canonize(g)
+        return canonize(g, root)
 
     def plain_canonize(order, rows):
         calls["plain"] += 1
         return canonize(Graph(order, rows))
 
-    def never(rows, act, added, sets, removable):
+    def never(rank, rows, act, added, sets, removable):
         return False
+
+    def degrees_only(rank, rows, act, added, sets, removable):
+        # The degree pass ranks by negated degrees, all <= 0 and one < 0 as
+        # a child has an edge; the cell pass ranks by cell indices, all >= 0.
+        return min(rank) < 0 and rejects(rank, rows, act, added, sets, removable)
 
     monkeypatch.setattr(search, "_canonize", counted)
     universes = []
@@ -266,18 +275,20 @@ def test_pruned_step_accepts_the_plain_steps_classes(monkeypatch):
             assert list(moves_of(rows, act, m)) == list(oracle_moves_of(rows, act, m)), rows
             want = {(c[1], c[3]) for c in plain_accepted_children(
                 node, moves_of(rows, act, m), removal_of, plain_canonize)}
-            which[0] = "orbits"
-            monkeypatch.setattr(search, "_rejects", never)
-            orbits = list(search._accepted_children(node, moves_of(rows, act, m), sets, removable))
-            which[0] = "pruned"
-            monkeypatch.setattr(search, "_rejects", rejects)
-            pruned = list(search._accepted_children(node, moves_of(rows, act, m), sets, removable))
-            for got in (orbits, pruned):
+            passes = {}
+            for which[0], rank_filter in (
+                ("orbits", never), ("degrees", degrees_only), ("pruned", rejects)
+            ):
+                monkeypatch.setattr(search, "_rejects", rank_filter)
+                passes[which[0]] = list(
+                    search._accepted_children(node, moves_of(rows, act, m), sets, removable)
+                )
+            for got in passes.values():
                 codes = [(c[1], c[3]) for c in got]
                 assert len(codes) == len(set(codes)) and set(codes) == want, rows
-            stack.extend(pruned)
+            stack.extend(passes["pruned"])
     assert nodes > 1000
-    assert calls["pruned"] < calls["orbits"] < calls["plain"], calls
+    assert calls["pruned"] < calls["degrees"] < calls["orbits"] < calls["plain"], calls
 
 
 # -- minimum-size searches -------------------------------------------------------
@@ -388,6 +399,17 @@ def test_search_outcomes_match_frozen_digest(workers):
     assert len(outs) == 32
     text = json.dumps([o.to_json_dict() for o in outs], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == OUTCOME_DIGEST
+
+
+def test_sub_wheel_walk_at_order_12_is_worker_invariant():
+    # The walk that bounds f(12) from below: no edge-pancyclic graph of
+    # order 12 has at most 2n - 3 = 21 edges. Its 7,304 tree nodes and its
+    # per-size counts are the same at 1 and 2 workers (about 3 s in all).
+    tree = search._Tree(12, 21, search._leaf_filter("edge-pancyclic", 12))
+    serial, split = (search._survey_covered(tree, workers=w) for w in (1, 2))
+    assert serial == split
+    survey, complete = serial
+    assert complete and survey.classes_seen == 7304 and survey.survivors == []
 
 
 def test_worker_split_fills_the_frontier(monkeypatch):
