@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from pancyclic import (
     Edge,
     GraphError,
+    a_graph,
     checks,
     build_graph,
     complete,
@@ -20,6 +23,7 @@ from pancyclic import (
     enumerate_graphs,
     families,
     g_ring,
+    h_block,
     has_triangle_cover,
     is_edge_pancyclic,
     is_pancyclic,
@@ -675,6 +679,29 @@ def test_layer_bounds_failure_and_errors():
         verify_distance_layer_bounds(cycle(3))
     with pytest.raises(GraphError):
         verify_distance_layer_bounds(build_graph(4, [(0, 1), (2, 3)]))
+
+
+# SHA-256 of the layer-battery reports over the corpus below, serialized with
+# sorted keys.
+LAYER_BOUNDS_DIGEST = "d67b905d682f2a2be14193e91ce0ae2fd58c1c3ceae9fc67ea90c84f29088e86"
+
+
+def test_layer_bounds_reports_match_frozen_digest():
+    # Every branch of the battery: q-graphs with inner pairs to check,
+    # wheels and complete graphs (d = 1, the last-two floor skipped), cycles
+    # failing the floors, and the paper's A-graphs, H-block and ring.
+    corpus = (
+        [q_graph(n) for n in range(10, 40)]
+        + [wheel(n) for n in range(4, 14)]
+        + [complete(n) for n in range(4, 9)]
+        + [cycle(n) for n in range(4, 12)]
+        + [a_graph(n).graph for n in (8, 10, 12)]
+        + [h_block(3).graph, g_ring(3).graph]
+    )
+    reports = [verify_distance_layer_bounds(g).to_json_dict() for g in corpus]
+    assert len(reports) == 58
+    text = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == LAYER_BOUNDS_DIGEST
 
 
 def test_block_battery_k3():
