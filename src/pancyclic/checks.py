@@ -86,6 +86,7 @@ from .graphs import (
     Graph,
     GraphError,
     distance_layers,
+    eccentricity,
     edge_blocks,
     is_connected,
     is_k_connected,
@@ -578,54 +579,45 @@ def is_pancyclic(g: Graph, *, budget: int | None = None) -> CheckReport:
 def verify_distance_layer_bounds(g: Graph) -> CheckReport:
     """Layer-size floors from a peripheral vertex, plus delta >= 3 and 2-connexity.
 
-    With layers V_0 .. V_d from a vertex of maximum eccentricity the checks
-    are |V_1| >= 3 (d >= 1), |V_{d-1}| + |V_d| >= 4 (d >= 2), and
-    |V_i| + |V_{i+1}| >= 5 for 1 <= i <= d - 2. Inapplicable inequalities
-    (diameter too small) are recorded as skipped.
+    With layers V_0 .. V_d from the first vertex of maximum eccentricity the
+    checks are |V_1| >= 3, |V_{d-1}| + |V_d| >= 4 (d >= 2), and
+    |V_i| + |V_{i+1}| >= 5 for 1 <= i <= d - 2. A connected graph on at
+    least 4 vertices has d >= 1, so the first floor always applies; the
+    others are recorded as skipped when d is too small.
     """
     if g.order < 4:
         raise GraphError("layer bound verification needs at least 4 vertices")
     if not is_connected(g):
         raise GraphError("layer bound verification needs a connected graph")
-    eccs = [distance_layers(g, v).eccentricity for v in range(g.order)]
+    eccs = [eccentricity(g, v) for v in range(g.order)]
     d = max(eccs)
     source = eccs.index(d)
-    layers = distance_layers(g, source)
-    sizes = layers.sizes()
-    results: dict = {
+    sizes = distance_layers(g, source).sizes()
+    evidence: dict = {
         "source": source,
         "diameter": d,
         "layer_sizes": list(sizes),
+        # d >= 1 here: the graph is connected and has a second vertex.
+        "first_layer_min3": sizes[1] >= 3,
+        "last_two_layers_min4": sizes[d - 1] + sizes[d] >= 4 if d >= 2 else "skipped",
+        "inner_pairs_min5": {
+            "applies_to": [1, d - 2] if d >= 3 else None,
+            "failing": [i for i in range(1, d - 1) if sizes[i] + sizes[i + 1] < 5],
+        },
+        "min_degree": min_degree(g),
+        "two_connected": is_k_connected(g, 2),
     }
-    ok = True
-    if d >= 1:
-        results["first_layer_min3"] = sizes[1] >= 3
-        ok &= sizes[1] >= 3
-    else:
-        results["first_layer_min3"] = "skipped"
-    if d >= 2:
-        results["last_two_layers_min4"] = sizes[d - 1] + sizes[d] >= 4
-        ok &= sizes[d - 1] + sizes[d] >= 4
-    else:
-        results["last_two_layers_min4"] = "skipped"
-    failing = [
-        i for i in range(1, d - 1) if sizes[i] + sizes[i + 1] < 5
-    ]
-    results["inner_pairs_min5"] = {
-        "applies_to": [1, d - 2] if d >= 3 else None,
-        "failing": failing,
-    }
-    ok &= not failing
-    dm = min_degree(g)
-    results["min_degree"] = dm
-    ok &= dm >= 3
-    two_conn = is_k_connected(g, 2)
-    results["two_connected"] = two_conn
-    ok &= two_conn
+    verdict = (
+        evidence["first_layer_min3"]
+        and evidence["last_two_layers_min4"] is not False
+        and not evidence["inner_pairs_min5"]["failing"]
+        and evidence["min_degree"] >= 3
+        and evidence["two_connected"]
+    )
     return CheckReport(
         predicate="layer-bounds",
-        verdict=bool(ok),
-        evidence=results,
+        verdict=verdict,
+        evidence=evidence,
         stats={},
     )
 

@@ -224,6 +224,10 @@ def _claim(name: str, expected, actual) -> dict:
 
 
 def _verify_lemma1(n: int, workers: int | None = None) -> tuple[dict, list[dict]]:
+    # Below order 6 the formula does not hold: the minima at orders 3, 4 and 5
+    # are 3, 5 and 7.
+    if n < 6:
+        raise GraphError(f"verify lemma1 holds for n >= 6, got {n}")
     outcome = search.min_size_triangle_cover(n, 2, workers=workers)
     claims = [_claim("minimum size", -(-3 * n // 2), outcome.value)]
     if n >= 8 and n % 2 == 0:
@@ -248,6 +252,9 @@ def _verify_lemma2(n: int, workers: int | None = None) -> tuple[dict, list[dict]
 
 
 def _verify_erdos(n: int, workers: int | None = None) -> tuple[dict, list[dict]]:
+    # Order 2 has no connected graph with every edge in a triangle.
+    if n < 3:
+        raise GraphError(f"verify erdos holds for n >= 3, got {n}")
     outcome = search.min_size_triangle_cover(n, 1, workers=workers)
     return {"n": n}, [_claim("minimum size", (3 * n - 2) // 2, outcome.value)]
 
@@ -416,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Largest diameter over edge-pancyclic graphs of one order. "
                     "Order 9 has no constructed witness, so auto and --witness "
                     "mode silently run the exhaustive walk there, which takes "
-                    "about a minute.",
+                    "about 40 s at one worker.",
     )
     q.add_argument("--order", type=int, required=True)
     mode = q.add_mutually_exclusive_group()
@@ -441,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="thm6: search instead of constructing a witness; "
                         "without it, order 9 has no constructed witness and "
                         "silently runs the exhaustive walk, which takes about "
-                        "a minute")
+                        "40 s at one worker")
     p.add_argument("--budget", type=_non_negative,
                    help="one total DFS node cap for thm5/hk-props, P5 spectrum "
                         "included; a check it stops exits 3; default unlimited")

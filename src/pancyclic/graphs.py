@@ -290,10 +290,10 @@ class DistanceLayers:
         return tuple(len(layer) for layer in self.layers)
 
 
-def _bfs_masks(adj: tuple[int, ...], source: int, alive: int) -> list[int]:
-    """Layer bitmasks of BFS from source, restricted to ``alive`` vertices."""
-    seen = 1 << source
-    frontier = seen
+def _bfs_masks(adj: tuple[int, ...], source: int) -> list[int]:
+    """Layer bitmasks ``V_0 = {source}, V_1, ...`` of BFS from ``source``,
+    up to the last nonempty layer. The layers are disjoint."""
+    seen = frontier = 1 << source
     layers = [frontier]
     while True:
         f = frontier
@@ -302,51 +302,43 @@ def _bfs_masks(adj: tuple[int, ...], source: int, alive: int) -> list[int]:
             low = f & -f
             nxt |= adj[low.bit_length() - 1]
             f ^= low
-        nxt &= alive & ~seen
-        if not nxt:
+        frontier = nxt & ~seen
+        if not frontier:
             return layers
-        layers.append(nxt)
-        seen |= nxt
-        frontier = nxt
+        layers.append(frontier)
+        seen |= frontier
+
+
+def _spanning_masks(g: Graph, source: int) -> list[int]:
+    """BFS layer bitmasks from ``source``; raises unless they reach every
+    vertex."""
+    if not (0 <= source < g.order):
+        raise GraphError(f"source vertex {source} outside 0..{g.order - 1}")
+    masks = _bfs_masks(g.adj, source)
+    missing = ((1 << g.order) - 1) & ~sum(masks)
+    if missing:
+        v = (missing & -missing).bit_length() - 1
+        raise GraphError(f"graph is disconnected: vertex {v} unreachable from {source}")
+    return masks
 
 
 def distance_layers(g: Graph, source: int) -> DistanceLayers:
     """Exact distance layers from ``source``; raises if any vertex is unreached."""
-    if not (0 <= source < g.order):
-        raise GraphError(f"source vertex {source} outside 0..{g.order - 1}")
-    full = (1 << g.order) - 1
-    masks = _bfs_masks(g.adj, source, full)
-    seen = 0
-    for m in masks:
-        seen |= m
-    if seen != full:
-        missing = (full & ~seen)
-        v = (missing & -missing).bit_length() - 1
-        raise GraphError(f"graph is disconnected: vertex {v} unreachable from {source}")
-    layers = []
-    for m in masks:
-        members = []
-        while m:
-            low = m & -m
-            members.append(low.bit_length() - 1)
-            m ^= low
-        layers.append(frozenset(members))
-    return DistanceLayers(source=source, layers=tuple(layers))
+    layers = tuple(
+        frozenset(v for v in range(g.order) if m >> v & 1)
+        for m in _spanning_masks(g, source)
+    )
+    return DistanceLayers(source=source, layers=layers)
 
 
 def eccentricity(g: Graph, source: int) -> int:
-    return distance_layers(g, source).eccentricity
+    """Largest distance from ``source``: its number of BFS layers minus one.
+    Raises like :func:`distance_layers`, and builds no layer sets."""
+    return len(_spanning_masks(g, source)) - 1
 
 
 def is_connected(g: Graph) -> bool:
-    if g.order == 0:
-        return True
-    full = (1 << g.order) - 1
-    masks = _bfs_masks(g.adj, 0, full)
-    seen = 0
-    for m in masks:
-        seen |= m
-    return seen == full
+    return g.order == 0 or sum(_bfs_masks(g.adj, 0)) == (1 << g.order) - 1
 
 
 def diameter(g: Graph) -> int:

@@ -85,7 +85,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from . import checks
+from . import checks, families
 from .canon import _canonize, _root, canonical_graph
 from .graphs import (
     Graph,
@@ -877,8 +877,6 @@ def min_size_triangle_cover(
 
 
 def _diameter_witness(n: int) -> tuple[Graph | None, str]:
-    from . import families
-
     if n == 3:
         return families.cycle(3), "triangle"
     if 4 <= n <= 7:

@@ -540,6 +540,17 @@ def test_verify_usage_errors(monkeypatch, capsys):
     assert code == 2 and "--n" in err
     code, _, _ = run_cli(monkeypatch, capsys, ["verify", "no-such-claim", "--n", "5"])
     assert code == 2
+    # Orders below the first at which the claim holds exit 2 before a search.
+    with monkeypatch.context() as m:
+        m.setattr(search, "min_size_triangle_cover", None)
+        for result, n, lo in (("lemma1", 3, 6), ("lemma1", 4, 6), ("lemma1", 5, 6),
+                              ("erdos", 2, 3)):
+            code, out, err = run_cli(m, capsys, ["verify", result, "--n", str(n)])
+            assert code == 2 and out == "" and f"n >= {lo}" in err, (result, n)
+    for result, n in (("lemma1", 6), ("erdos", 3)):
+        code, _, _ = run_cli(monkeypatch, capsys,
+                             ["verify", result, "--n", str(n), "--workers", "1"])
+        assert code == 0, (result, n)
     for result in ("thm5", "hk-props"):
         code, out, err = run_cli(
             monkeypatch, capsys, ["verify", result, "--k", "3", "--budget", "-1"]

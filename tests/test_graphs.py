@@ -237,6 +237,11 @@ def test_distance_layers_unreachable_named():
     with pytest.raises(GraphError) as e:
         distance_layers(g, 0)
     assert "2" in str(e.value)
+    with pytest.raises(GraphError, match="vertex 2 unreachable from 1"):
+        eccentricity(g, 1)
+    for source in (-1, 3):
+        with pytest.raises(GraphError, match=f"source vertex {source} outside 0..2"):
+            eccentricity(g, source)
 
 
 def test_connectivity_hand_values():
@@ -394,3 +399,5 @@ def test_diameter_is_max_eccentricity(g):
         nxg.add_nodes_from(range(g.order))
         nxg.add_edges_from(g.edges())
         assert diameter(g) == nx.diameter(nxg)  # an oracle outside the module
+        ecc = nx.eccentricity(nxg)
+        assert all(eccentricity(g, v) == ecc[v] for v in range(g.order))
