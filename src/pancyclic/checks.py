@@ -61,9 +61,18 @@ many of its chords: when ab joins two vertices of a recorded L-cycle C, a
 crossing-chord exchange (the step of the closure argument of Bondy &
 Chvatal, Discrete Math. 15(2), 1976) turns C into an L-cycle through ab
 whenever the successors, or the predecessors, of a and b on C are
-adjacent; it is taken only when no recorded cycle has ab on it, and the
-new cycle is recorded in turn. ``stats`` counts the pairs answered either
-way as ``reused``. Both steps only prove a length present; absence is
+adjacent. Two more local edits, steps of the cycle-extension arguments
+for pancyclic graphs (Bondy, "Pancyclic graphs I", JCTB 11, 1971; Hendry,
+"Extending cycles in graphs", Discrete Math. 85, 1990), answer a pair that
+no exchange does. Vertex substitution: when b is off a recorded L-cycle
+through a and adjacent to the vertex two steps from a along it, b takes
+the place of the vertex between them. One-vertex insertion: when a
+recorded (L-1)-cycle has ab on it and the ends of another of its edges
+have a common neighbour off it, that neighbour goes between them. These
+edits are tried in that order (exchange, substitution, insertion), only
+when no recorded cycle has ab on it, and the new cycle is recorded in
+turn. ``stats`` counts the pairs answered by a recorded or reshaped cycle
+as ``reused``. Every such step only proves a length present; absence is
 still proved only by an exhausted DFS or a block certificate, so every
 spectrum and verdict stays exact. A check asks for its pairs in the same
 order either way and a probed pair costs the same nodes, so a budgeted
@@ -275,27 +284,33 @@ def _probe(
 class _Probes:
     """Probe state of one check: its graph, one node budget shared by every
     probe, the probe count, the count of cycle probes certified without a
-    DFS, the count of cycle pairs answered by a recorded cycle, each edge's
-    block (computed on the first cycle probe), each probed edge's
-    block-without-edge adjacency, built on first use, and the recorded
-    cycles ("rings"). Every DFS goes through ``_probe``.
+    DFS, the count of cycle pairs answered by a recorded or reshaped cycle,
+    each edge's block (computed on the first cycle probe), each probed
+    edge's block-without-edge adjacency, built on first use, and the
+    recorded cycles ("rings"). Every DFS goes through ``_probe``.
 
     Witness reuse (module docstring): one index lists, for each length L
     and vertex x, the L-rings through x in record order; a ring is written
     once per vertex on it. A cycle probe of (ab, L) scans the L-rings
-    through a and is answered without a DFS by
+    through a and is answered by
 
     - the first of them with b next to a: a ring with ab on it passes
       through a, so this is the first ring recorded with ab on it;
     - else the first chord exchange (:meth:`_exchange`) that one of them
       with b on it admits, computed once while the scan looks on for the
-      first case; the new ring is recorded;
-    - else the result of :meth:`_search`, whose ring is recorded.
+      first case;
+    - else the vertex substitution (:meth:`_substitute`) of b into the
+      first of them without b, found by the same scan, if it applies;
+    - else the one-vertex insertion (:meth:`_insert`) into an (L-1)-ring
+      with ab on it, if one applies;
+    - else the result of :meth:`_search`.
 
-    Either ring is returned turned to run from a to b. An answer depends
-    only on the graph and the order of the check's pairs. The index holds
-    tuples, so a caller's witness list cannot change it, and it lives as
-    long as the check: one graph's (edge, length) pairs."""
+    Every case but the first records the ring it gives (a search, when it
+    finds one), and only a search spends budget; the ring is returned
+    turned to run from a to b. An answer depends only on the graph and the
+    order of the check's pairs. The index holds tuples, so a caller's
+    witness list cannot change it, and it lives as long as the check: one
+    graph's (edge, length) pairs."""
 
     def __init__(self, g: Graph, budget: int | None = None):
         if budget is not None and budget < 0:
@@ -322,20 +337,27 @@ class _Probes:
     def cycle(self, a: int, b: int, length: int) -> tuple[bool | None, list[int] | None]:
         """A cycle of ``length`` through edge ab, as an (a, b)-path of
         ``length - 1`` edges without ab, found as the class docstring says."""
-        swap = None
+        swap = miss = None
         for ring in self._rings.get((length, a), ()):
             i = ring.index(a)
             if ring[i - 1] == b or ring[i + 1 - length] == b:
                 break
-            if swap is None and b in ring:
-                swap = self._exchange(ring, i, ring.index(b))
-        else:
             if swap is None:
+                if b in ring:
+                    swap = self._exchange(ring, i, ring.index(b))
+                elif miss is None:
+                    miss = ring, i
+        else:
+            ring = swap
+            if ring is None and miss is not None:
+                ring = self._substitute(*miss, b)
+            if ring is None:
+                ring = self._insert(a, b, length)
+            if ring is None:
                 found, witness = self._search(a, b, length)
                 if found:
                     self._record(tuple(witness), length)
                 return found, witness
-            ring = swap
             self._record(ring, length)
             i = ring.index(a)
         self.reused += 1
@@ -363,6 +385,45 @@ class _Probes:
             return ring[: i + 1] + ring[i + 1 : j + 1][::-1] + ring[j + 1 :]
         if adj[ring[i - 1]] >> ring[j - 1] & 1:
             return ring[:i] + ring[i:j][::-1] + ring[j:]
+        return None
+
+    def _substitute(self, ring: tuple[int, ...], i: int, b: int) -> tuple[int, ...] | None:
+        """An L-ring through the edge c_i b, for a vertex b off ``ring`` =
+        c_0 .. c_{L-1}, or None. When b is adjacent to c_{i+2}, putting b in
+        place of c_{i+1} gives the simple L-cycle .. c_i b c_{i+2} ..;
+        failing that, when b is adjacent to c_{i-2}, b takes the place of
+        c_{i-1}. Indices are taken mod L."""
+        size = len(ring)
+        row = self.g.adj[b]
+        if row >> ring[(i + 2) % size] & 1:
+            k = (i + 1) % size
+        elif row >> ring[i - 2] & 1:
+            k = (i - 1) % size
+        else:
+            return None
+        return ring[:k] + (b,) + ring[k + 1 :]
+
+    def _insert(self, a: int, b: int, length: int) -> tuple[int, ...] | None:
+        """An L-ring through ab made from an (L-1)-ring through ab, or None.
+        The (L-1)-rings with ab on them are taken in record order; the first
+        with a ring edge xy other than ab whose ends have a common neighbour
+        w off the ring gives the simple L-cycle .. x w y ..: the lowest such
+        w, at the first such edge in ring order."""
+        adj = self.g.adj
+        short = length - 1
+        for ring in self._rings.get((short, a), ()):
+            i = ring.index(a)
+            if ring[i - 1] != b and ring[i + 1 - short] != b:
+                continue
+            off = ~sum(1 << x for x in ring)
+            for j in range(short):
+                x, y = ring[j], ring[j + 1 - short]
+                if x in (a, b) and y in (a, b):
+                    continue
+                common = adj[x] & adj[y] & off
+                if common:
+                    w = (common & -common).bit_length() - 1
+                    return ring[: j + 1] + (w,) + ring[j + 1 :]
         return None
 
     def _search(self, a: int, b: int, length: int) -> tuple[bool | None, list[int] | None]:

@@ -373,9 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "total DFS node cap per checked graph, shared by all of "
                         "its (edge, length) probes; lengths certified absent by "
                         "the edge's block spend none, nor do pairs answered by "
-                        "a cycle found earlier in the check or by a chord "
-                        "exchange on one of the same length (stats.reused), and "
-                        "stats.probes counts DFS probes only; default unlimited")
+                        "a cycle found earlier in the check, by a chord "
+                        "exchange or a vertex substitution on one of the same "
+                        "length, or by a vertex insertion into one a length "
+                        "shorter (stats.reused), and stats.probes counts DFS "
+                        "probes only; default unlimited")
     p.add_argument("--witnesses", action="store_true", default=None,
                    help="edge-pancyclic only: include one cycle per (edge, length)")
     p.add_argument("--kappa", type=_non_negative,
@@ -390,9 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total DFS node cap per graph, shared by all of its "
                         "(edge, length) probes; lengths certified absent by the "
                         "edge's block spend none, nor do pairs answered by a "
-                        "cycle found earlier for the graph or by a chord "
-                        "exchange on one of the same length; a stopped "
-                        "spectrum lists only confirmed lengths and exits 3")
+                        "cycle found earlier for the graph, by a chord exchange "
+                        "or a vertex substitution on one of the same length, "
+                        "or by a vertex insertion into one a length shorter; a "
+                        "spectrum line carries no stats; a stopped spectrum "
+                        "lists only confirmed lengths and exits 3")
     p.set_defaults(func=_run_spectrum)
 
     p = sub.add_parser("canon", help="canonical graph6 and hex code for stdin graphs")

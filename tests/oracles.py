@@ -8,8 +8,9 @@ plain (order, edge list) data so they cannot silently reuse library logic.
 The exceptions are the reference versions of a library step with a
 shortcut left out, kept to show that the shortcut changes no result:
 ``plain_accepted_children`` (no rejection before canonization),
-``PlainProbes`` (no cycle-witness reuse), ``ReuseOnlyProbes`` (reuse
-without the chord exchange), ``TwoTableProbes`` (each recorded cycle
+``PlainProbes`` (no cycle-witness reuse), ``ExchangeOnlyProbes`` (reuse
+and the chord exchange, no vertex substitution or insertion),
+``ReuseOnlyProbes`` (reuse alone), ``TwoTableProbes`` (each recorded cycle
 also kept in a table keyed by its edges) and ``plain_find_exact_path`` (the
 path DFS with a full residual BFS at every node: b expanded like any
 vertex, no early stop, no one-step close).
@@ -442,9 +443,22 @@ class PlainProbes(checks._Probes):
         return self._search(a, b, length)
 
 
-class ReuseOnlyProbes(checks._Probes):
-    """The probe engine without the chord exchange: a cycle probe is
-    answered by the cycle recorded for its own pair, or else searched."""
+class ExchangeOnlyProbes(checks._Probes):
+    """The probe engine without vertex substitution and one-vertex
+    insertion: a cycle probe is answered by a recorded cycle with its pair
+    on it or by a chord exchange on one, or else searched."""
+
+    def _substitute(self, ring, i, b):
+        return None
+
+    def _insert(self, a, b, length):
+        return None
+
+
+class ReuseOnlyProbes(ExchangeOnlyProbes):
+    """The probe engine without the chord exchange and without reshaping a
+    recorded cycle: a cycle probe is answered by the cycle recorded for its
+    own pair, or else searched."""
 
     def _exchange(self, ring, i, j):
         return None
@@ -455,7 +469,8 @@ class TwoTableProbes(checks._Probes):
     (u, v, length) pair table that keeps the first ring recorded for a
     pair, and once per vertex in the (length, vertex) ring lists that the
     chord exchange scans. A probe looks up its pair first and runs the
-    exchange only on a table miss."""
+    exchange only on a table miss. It never substitutes or inserts a
+    vertex, so ``ExchangeOnlyProbes`` is the engine it matches."""
 
     def __init__(self, g, budget=None):
         super().__init__(g, budget)

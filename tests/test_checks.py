@@ -39,6 +39,7 @@ from pancyclic import (
 )
 from conftest import random_connected_graph, random_graph
 from oracles import (
+    ExchangeOnlyProbes,
     PlainProbes,
     ReuseOnlyProbes,
     TwoTableProbes,
@@ -217,16 +218,18 @@ def test_budget_yields_unknown_not_wrong():
     assert any(k.startswith("undecided") for k in rep.evidence)
     rng = random.Random(31)
     undecided = set()
+    # 18 is the largest budget at which every check below leaves some graph
+    # undecided.
     for _ in range(40):
         g = random_connected_graph(rng, rng.randint(4, 7), 0.5)
         for check in (is_edge_pancyclic, is_vertex_pancyclic, is_pancyclic):
-            budgeted = check(g, budget=30).verdict
+            budgeted = check(g, budget=18).verdict
             if budgeted is None:
                 undecided.add(check.__name__)
             else:
                 assert budgeted == check(g).verdict
         full = cycle_spectrum(g).lengths_by_edge
-        part = cycle_spectrum(g, budget=30)
+        part = cycle_spectrum(g, budget=18)
         for e, lengths in part.lengths_by_edge.items():
             assert lengths <= full[e]
         if part.complete:
@@ -581,6 +584,45 @@ def test_chord_of_a_recorded_cycle_needs_no_dfs():
     assert (probes.probes, probes.reused) == (1, 1)
 
 
+def assert_engine_matches_plain(monkeypatch, g, weaker):
+    """The engine on ``g`` against the plain one and against ``weaker``, an
+    engine with some reuse step turned off: the same answer for every pair,
+    each witness a real cycle, the same counts, spectra, verdicts and
+    evidence, and at least as much budget left as the plain engine at
+    budgets 5, 40 and 300. Returns the DFS probes of the engine and of
+    ``weaker``."""
+    probes, ref, other = checks._Probes(g), PlainProbes(g), weaker(g)
+    for e in g.edges():
+        for length in range(3, g.order + 1):
+            found, walk = probes.cycle(e.u, e.v, length)
+            assert found == ref.cycle(e.u, e.v, length)[0]
+            assert found == other.cycle(e.u, e.v, length)[0]
+            if found:
+                assert_cycle_witness(g, e.u, e.v, length, walk)
+    assert probes.probes + probes.reused == ref.probes
+    assert probes.certified == ref.certified
+    assert cycle_spectrum(g) == plain(monkeypatch, lambda: cycle_spectrum(g))
+    for check in _CHECKS:
+        got = check(g, None)
+        ref = plain(monkeypatch, lambda: check(g, None))
+        assert got.verdict == ref.verdict
+        assert without_witnesses(got.evidence) == without_witnesses(ref.evidence)
+        assert got.stats["probes"] + got.stats["reused"] == ref.stats["probes"]
+        assert got.stats["certified"] == ref.stats["certified"]
+        for budget in (5, 40, 300):
+            got = check(g, budget)
+            ref = plain(monkeypatch, lambda: check(g, budget))
+            assert got.stats["budget_left"] >= ref.stats["budget_left"]
+            if ref.verdict is not None:
+                assert got.verdict == ref.verdict
+                assert without_witnesses(got.evidence) == without_witnesses(ref.evidence)
+    for budget in (5, 40, 300):
+        ref = plain(monkeypatch, lambda: cycle_spectrum(g, budget=budget))
+        if ref.complete:
+            assert cycle_spectrum(g, budget=budget) == ref
+    return probes.probes, other.probes
+
+
 def test_chord_exchange_matches_plain_and_reuse_only_probes(monkeypatch):
     rng = random.Random(53)
     corpus = [
@@ -591,32 +633,60 @@ def test_chord_exchange_matches_plain_and_reuse_only_probes(monkeypatch):
     ]
     probed = reuse_only_probed = 0
     for g in corpus:
-        probes, ref, reuse_only = checks._Probes(g), PlainProbes(g), ReuseOnlyProbes(g)
-        for e in g.edges():
-            for length in range(3, g.order + 1):
-                found, walk = probes.cycle(e.u, e.v, length)
-                assert found == ref.cycle(e.u, e.v, length)[0]
-                assert found == reuse_only.cycle(e.u, e.v, length)[0]
-                if found:
-                    assert_cycle_witness(g, e.u, e.v, length, walk)
-        assert probes.probes + probes.reused == ref.probes
-        assert probes.certified == ref.certified
-        probed += probes.probes
-        reuse_only_probed += reuse_only.probes
-        assert cycle_spectrum(g) == plain(monkeypatch, lambda: cycle_spectrum(g))
-        for check in _CHECKS:
-            got = check(g, None)
-            ref = plain(monkeypatch, lambda: check(g, None))
-            assert got.verdict == ref.verdict
-            assert without_witnesses(got.evidence) == without_witnesses(ref.evidence)
-            assert got.stats["probes"] + got.stats["reused"] == ref.stats["probes"]
-            for budget in (5, 40, 300):
-                got = check(g, budget)
-                ref = plain(monkeypatch, lambda: check(g, budget))
-                assert got.stats["budget_left"] >= ref.stats["budget_left"]
-                if ref.verdict is not None:
-                    assert got.verdict == ref.verdict
+        got, reuse_only = assert_engine_matches_plain(monkeypatch, g, ReuseOnlyProbes)
+        probed += got
+        reuse_only_probed += reuse_only
     assert probed < reuse_only_probed
+
+
+def test_substitution_of_a_vertex_off_a_recorded_cycle_needs_no_dfs():
+    # The ring 0 .. 5 of cycle(6), probed at the edge 2-6 with 6 off it.
+    # 6 ~ 4 puts 6 in place of 3, two steps after 2; 6 ~ 0 only puts it in
+    # place of 1, two steps before; with both, the step after 2 is taken.
+    for extra, want in (
+        ([(2, 6), (4, 6)], [2, 1, 0, 5, 4, 6]),
+        ([(2, 6), (0, 6)], [2, 3, 4, 5, 0, 6]),
+        ([(2, 6), (4, 6), (0, 6)], [2, 1, 0, 5, 4, 6]),
+    ):
+        g = build_graph(7, [(v, (v + 1) % 6) for v in range(6)] + extra)
+        probes = checks._Probes(g)
+        probes._record(tuple(range(6)), 6)
+        found, walk = probes.cycle(2, 6, 6)
+        assert found and walk == want
+        assert_cycle_witness(g, 2, 6, 6, walk)
+        assert (probes.probes, probes.reused) == (0, 1)
+
+
+def test_insertion_into_a_shorter_recorded_cycle_needs_no_dfs():
+    # The 5-ring 0 .. 4 has the edge 0-1 on it. 5 is a common neighbour of
+    # the ends of 0-1 and of 3-4, and 6 of 3-4 and of 4-0; 1-2 and 2-3 have
+    # none off the ring. The first ring edge other than ab with one is 3-4,
+    # and its lowest is 5: the 6-ring 0, 1, 2, 3, 5, 4.
+    g = build_graph(7, [(v, (v + 1) % 5) for v in range(5)]
+                    + [(5, 0), (5, 1), (5, 3), (5, 4), (6, 3), (6, 4), (6, 0)])
+    for a, b, want in ((0, 1, [0, 4, 5, 3, 2, 1]), (1, 0, [1, 2, 3, 5, 4, 0])):
+        probes = checks._Probes(g)
+        probes._record(tuple(range(5)), 5)
+        found, walk = probes.cycle(a, b, 6)
+        assert found and walk == want
+        assert_cycle_witness(g, a, b, 6, walk)
+        assert (probes.probes, probes.reused) == (0, 1)
+
+
+def test_ring_reshaping_matches_plain_and_exchange_only_probes(monkeypatch):
+    rng = random.Random(59)
+    corpus = list(NAMED) + [wheel(30), q_graph(25)] + [
+        random_connected_graph(rng, n, density)
+        for n in range(8, 13)
+        for density in (0.1, 0.25, 0.4, 0.6)
+        for _ in range(2)
+    ]
+    probed = exchange_only_probed = 0
+    for g in corpus:
+        got, exchange_only = assert_engine_matches_plain(monkeypatch, g, ExchangeOnlyProbes)
+        probed += got
+        exchange_only_probed += exchange_only
+    assert probed < exchange_only_probed
 
 
 def without_elapsed(report):
@@ -629,6 +699,8 @@ def test_one_ring_index_matches_the_two_table_engine(monkeypatch):
     # every answer, witness, counter and budget of the one that also keeps
     # a pair table: the first listed ring with b next to a is the ring the
     # table kept, and an exchange is taken only when no ring has ab on it.
+    # The two-table engine predates vertex substitution and insertion, so
+    # it is compared with the engine that has both turned off.
     rng = random.Random(53)
     corpus = list(NAMED) + [wheel(30), q_graph(25)] + [
         random_connected_graph(rng, n, density)
@@ -638,19 +710,20 @@ def test_one_ring_index_matches_the_two_table_engine(monkeypatch):
     ]
     reused = 0
     for g in corpus:
-        probes, ref = checks._Probes(g), TwoTableProbes(g)
+        probes, ref = ExchangeOnlyProbes(g), TwoTableProbes(g)
         for e in g.edges():
             for length in range(3, g.order + 1):
                 assert probes.cycle(e.u, e.v, length) == ref.cycle(e.u, e.v, length)
         assert (probes.probes, probes.reused, probes.certified) == (
             ref.probes, ref.reused, ref.certified)
         reused += probes.reused
-        with monkeypatch.context() as m:
-            m.setattr(checks, "_Probes", TwoTableProbes)
-            refs = [without_elapsed(check(g, budget))
-                    for check in _CHECKS for budget in (None, 5, 40, 300)]
-        assert [without_elapsed(check(g, budget))
-                for check in _CHECKS for budget in (None, 5, 40, 300)] == refs
+        runs = []
+        for engine in (TwoTableProbes, ExchangeOnlyProbes):
+            with monkeypatch.context() as m:
+                m.setattr(checks, "_Probes", engine)
+                runs.append([without_elapsed(check(g, budget))
+                             for check in _CHECKS for budget in (None, 5, 40, 300)])
+        assert runs[1] == runs[0]
     assert reused > 0
 
 
