@@ -8,15 +8,17 @@ adjacency matrix has the lexicographically smallest upper-triangle bit
 string (column-major, the graph6 bit order). Two graphs receive equal
 codes iff they are isomorphic.
 
-Automorphisms discovered when two branches reach the same leaf code are
-used to skip equivalent branches, which keeps highly symmetric graphs
-(empty, complete, unions of equal components) from exploding the search.
+Two leaves with the same code give an automorphism: the map between
+their labelings. The search skips every branch that such an automorphism
+maps onto a branch already searched, in two ways: the orbit skip and the
+backjump to the first path (both below). This keeps highly symmetric
+graphs (empty, complete, unions of equal components) from exploding the
+search: K_n and the empty graph take n leaves.
 
 :func:`_canonize` returns the code, the labeling and these automorphisms.
-They generate a subgroup of Aut(g), not always the whole group, and that
-is enough for a caller that skips work by symmetry: a subgroup orbit lies
-inside an orbit of the whole group, so the points it joins are equivalent;
-a smaller orbit only means that fewer points are skipped.
+They generate Aut(g) (see the backjump below). A caller that skips work by
+symmetry needs less: a subgroup orbit lies inside an orbit of the whole
+group, so the points it joins are equivalent.
 
 The root of the search is the equitable refinement of the unit partition
 (:func:`_root`). Its first split is by degree, highest first, and every
@@ -32,9 +34,11 @@ before canonizing them. A caller that has computed the root passes it to
 and changes nothing in it), so the root is refined once; the search is
 then the same as without it.
 
-Two bookkeeping devices make this cheaper without changing which nodes
-are visited, in which order, or what each node computes, so every code
-and every labeling is the same as with the plain loops:
+Three bookkeeping devices make this cheaper. The first two change
+neither which nodes are visited, in which order, nor what each node
+computes. The third skips nodes, but no code, labeling or generated group
+changes, so every code and every labeling is the same as with the plain
+loops:
 
 * Stable splitters. Refinement scans the cells in order and splits by the
   first cell mask S under which some cell has vertices with different
@@ -55,6 +59,26 @@ and every labeling is the same as with the plain loops:
   its last check. Orbits of a set of permutations do not depend on the
   order in which they are merged, so each check answers exactly as a
   union-find rebuilt from all generators would.
+* Backjump to the first path (McKay, "Practical graph isomorphism",
+  1981; McKay & Piperno 2014). The first path runs from the root through
+  the first child tried at each node to the first leaf. Say a later leaf
+  has the first leaf's code, and its nearest first-path ancestor lies at
+  level k. The map gamma between the two labelings is an automorphism
+  that fixes the ancestor's individualized vertices, and it maps the
+  first-path node at level k+1 onto the current path's node at level k+1.
+  Every node below the ancestor returns at once, and the ancestor goes on
+  with its next child. The subtree left unvisited is the gamma-image of a
+  subtree already searched, so every leaf in it has the code of a leaf
+  already visited. The first minimal leaf in DFS order is never skipped,
+  so every code and every labeling is unchanged. The group is unchanged
+  too. The leaf that triggers the jump gives a coset representative: it
+  maps the first child onto this child, and it fixes the prefix, so the
+  orbit skip at the ancestor uses it. At each first-path node, each child
+  in the orbit of the first child under the automorphisms that fix the
+  prefix is either skipped by the orbit test or reached by such a leaf.
+  By induction up the first path, the recorded automorphisms generate
+  Aut(g) (McKay's argument), with or without the jump, so the orbits that
+  :mod:`.search` reads, and every move it skips, stay the same.
 """
 
 from __future__ import annotations
@@ -176,21 +200,26 @@ class _Canonizer:
 
     def run(self, root: _Root) -> None:
         cells, masks, multi, stable = root
-        self._node(cells, masks, multi, set(stable), 0)
+        self._node(cells, masks, multi, set(stable), 0, True)
 
-    def _leaf(self, cells: list[list[int]]) -> None:
+    def _leaf(self, cells: list[list[int]]) -> bool:
+        # True when a leaf after the first has the first leaf's code: the
+        # automorphism between them sends the first path into this one.
         perm = [c[0] for c in cells]
         code = _perm_code(self.adj, perm)
+        jump = False
         if self.first_code is None:
             self.first_code = code
             self.first_perm = perm
         elif code == self.first_code:
             self._record_aut(self.first_perm, perm)
+            jump = True
         if self.best_code is None or code < self.best_code:
             self.best_code = code
             self.best_perm = perm
         elif code == self.best_code and perm != self.best_perm:
             self._record_aut(self.best_perm, perm)
+        return jump
 
     def _record_aut(self, pa: list[int], pb: list[int]) -> None:
         # Both labelings produce the identical matrix, so pa[i] -> pb[i]
@@ -212,12 +241,15 @@ class _Canonizer:
 
     def _node(
         self, cells: list[list[int]], masks: list[int], multi: list[int], stable: set[int],
-        fixed: int,
-    ) -> None:
-        # ``cells`` is equitable and ``multi`` lists its non-singleton cells.
+        fixed: int, first: bool,
+    ) -> bool:
+        # ``cells`` is equitable and ``multi`` lists its non-singleton cells;
+        # ``first`` says whether this node lies on the first path. Returns
+        # True while a backjump is under way: a leaf below proved an
+        # automorphism, and every node returns at once up to the nearest
+        # first-path ancestor, which goes on with its next child.
         if not multi:
-            self._leaf(cells)
-            return
+            return self._leaf(cells)
         degs = self.degs
         target = multi[0]
         target_deg = degs[cells[target][0]]
@@ -263,7 +295,10 @@ class _Canonizer:
                 sub,
                 target,
             )
-            self._node(ccells, cmasks, cmulti, sub, fixed | bit)
+            jump = self._node(ccells, cmasks, cmulti, sub, fixed | bit, first and len(tried) == 1)
+            if jump and not first:
+                return True
+        return False
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -291,8 +326,8 @@ def _canonize(
 ) -> tuple[int, list[int], tuple[tuple[int, ...], ...]]:
     """Canonical ``(code_int, labeling, generators)``: the labeling maps
     position -> vertex; each generator ``gamma`` is an automorphism of ``g``
-    sending ``v`` to ``gamma[v]``, and together they generate a subgroup of
-    Aut(g) (see the module docstring). ``root``, if given, is ``_root(g)``,
+    sending ``v`` to ``gamma[v]``, and together they generate Aut(g) (see
+    the module docstring). ``root``, if given, is ``_root(g)``,
     computed earlier by a caller that read the cells; the result is the same
     as without it."""
     c = _Canonizer(g)

@@ -248,8 +248,8 @@ def _accepted_children(
       ``seen_moves`` repeats the class of the first move of its orbit. That
       move was canonized, and the plain step would have dropped this child
       as a repeated code, or it was rejected by :func:`_rejects`, which
-      answers alike on a whole orbit. The generators may span only a
-      subgroup of Aut(node); smaller orbits only skip fewer moves.
+      answers alike on a whole orbit. The argument needs only a subgroup
+      of Aut(node); smaller orbits would only skip fewer moves.
     * :func:`_rejects`, the rank pre-filter, first on negated degrees, then
       on the cells of the child's root partition (:func:`.canon._root`,
       which :func:`_canonize` then resumes from), is True only if the

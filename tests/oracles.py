@@ -11,9 +11,10 @@ shortcut left out, kept to show that the shortcut changes no result:
 ``PlainProbes`` (no cycle-witness reuse), ``ExchangeOnlyProbes`` (reuse
 and the chord exchange, no vertex substitution or insertion),
 ``ReuseOnlyProbes`` (reuse alone), ``TwoTableProbes`` (each recorded cycle
-also kept in a table keyed by its edges) and ``plain_find_exact_path`` (the
+also kept in a table keyed by its edges), ``plain_find_exact_path`` (the
 path DFS with a full residual BFS at every node: b expanded like any
-vertex, no early stop, no one-step close).
+vertex, no early stop, no one-step close) and ``NoBackjumpCanonizer`` (the
+canonizer without the jump back to the first path).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 from math import factorial
 
-from pancyclic import checks
+from pancyclic import canon, checks
 
 
 def normalized(edges) -> set[tuple[int, int]]:
@@ -587,3 +588,76 @@ def plain_find_exact_path(
     if rec(a, 1 << a, length, False):
         return path
     return None
+
+
+class NoBackjumpCanonizer(canon._Canonizer):
+    """The canonizer that walks every subtree the orbit skip leaves: a leaf
+    with the first leaf's code records its automorphism and the search goes
+    on below the same node, as it did before the backjump. Run it as
+    ``NoBackjumpCanonizer(g).run(canon._root(g))``."""
+
+    def run(self, root):
+        cells, masks, multi, stable = root
+        self._node(cells, masks, multi, set(stable), 0)
+
+    def _leaf(self, cells):
+        perm = [c[0] for c in cells]
+        code = canon._perm_code(self.adj, perm)
+        if self.first_code is None:
+            self.first_code = code
+            self.first_perm = perm
+        elif code == self.first_code:
+            self._record_aut(self.first_perm, perm)
+        if self.best_code is None or code < self.best_code:
+            self.best_code = code
+            self.best_perm = perm
+        elif code == self.best_code and perm != self.best_perm:
+            self._record_aut(self.best_perm, perm)
+
+    def _node(self, cells, masks, multi, stable, fixed):
+        if not multi:
+            self._leaf(cells)
+            return
+        degs = self.degs
+        target = multi[0]
+        target_deg = degs[cells[target][0]]
+        for i in multi:
+            d = degs[cells[i][0]]
+            if d > target_deg:
+                target = i
+                target_deg = d
+        cell = cells[target]
+        tmask = masks[target]
+        stable.discard(tmask)
+        head, tail = cells[:target], cells[target + 1:]
+        mhead, mtail = masks[:target], masks[target + 1:]
+        parent = None
+        seen = 0
+        gens = self.gens
+        tried = []
+        for v in cell:
+            if tried:
+                for support, moves in gens[seen:]:
+                    if not support & fixed:
+                        if parent is None:
+                            parent = list(range(self.n))
+                        for a, b in moves:
+                            a, b = canon._find(parent, a), canon._find(parent, b)
+                            if a != b:
+                                parent[a] = b
+                seen = len(gens)
+                if parent is not None:
+                    rv = canon._find(parent, v)
+                    if any(canon._find(parent, u) == rv for u in tried):
+                        continue
+            tried.append(v)
+            bit = 1 << v
+            sub = stable.copy()
+            ccells, cmasks, cmulti = canon._refine(
+                self.adj,
+                head + [[v], [w for w in cell if w != v]] + tail,
+                mhead + [bit, tmask ^ bit] + mtail,
+                sub,
+                target,
+            )
+            self._node(ccells, cmasks, cmulti, sub, fixed | bit)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 
 import networkx as nx
@@ -21,9 +22,11 @@ from pancyclic import (
     empty,
     join,
 )
-from pancyclic.canon import _canonize, _pack, _root
+from pancyclic import search
+from pancyclic.canon import _Canonizer, _canonize, _pack, _root
 from conftest import random_graph
 from oracles import (
+    NoBackjumpCanonizer,
     burnside_class_count,
     iter_labeled_graphs,
     normalized,
@@ -177,9 +180,43 @@ def _symmetric_corpus():
     ]
 
 
+class _Counts:
+    """Counts the nodes (leaves included) and the leaves a canonizer visits."""
+
+    def __init__(self, g):
+        super().__init__(g)
+        self.nodes = self.leaves = 0
+
+    def _node(self, *args):
+        self.nodes += 1
+        return super()._node(*args)
+
+    def _leaf(self, cells):
+        self.leaves += 1
+        return super()._leaf(cells)
+
+
+class _Counted(_Counts, _Canonizer):
+    pass
+
+
+class _CountedOracle(_Counts, NoBackjumpCanonizer):
+    pass
+
+
+def _counted_run(cls, g):
+    c = cls(g)
+    c.run(_root(g))
+    return c
+
+
 def test_symmetric_worst_cases_complete_quickly():
-    # Highly symmetric graphs exercise the orbit pruning; each code must
-    # survive a relabeling.
+    # Highly symmetric graphs exercise the orbit pruning and the backjump;
+    # each code must survive a relabeling. K_n and the empty graph take n
+    # leaves: the first leaf, then one at each of the n - 1 first-path nodes
+    # above it, whose second child reaches a leaf that proves an
+    # automorphism and jumps back; the orbit skip then covers every other
+    # child (without the backjump they took n(n-1)/2 + 1).
     rng = random.Random(12)
     cases = [complete(14), empty(14), *_symmetric_corpus()]
     for g in cases:
@@ -187,6 +224,9 @@ def test_symmetric_worst_cases_complete_quickly():
         assert code.order == g.order
         assert canonical_code(shuffled(rng, g)) == code
         assert canonical_code(g.relabel(tuple(reversed(range(g.order))))) == code
+    for n in range(3, 15):
+        for g in (complete(n), empty(n)):
+            assert _counted_run(_Counted, g).leaves == n, (n, g.size)
 
 
 def _canon_corpus():
@@ -332,3 +372,100 @@ def test_code_equality_iff_isomorphic_property(g):
     if missing:
         h = g.with_edge(*missing[0])
         assert canonical_code(h) != canonical_code(g)
+
+
+def _on_vertex(gamma, v):
+    return gamma[v]
+
+
+def _on_pair(gamma, pair):
+    u, v = gamma[pair[0]], gamma[pair[1]]
+    return (u, v) if u < v else (v, u)
+
+
+def _orbit_labels(points, gens, image):
+    # Smallest point of each point's orbit under ``gens``; ``image(gamma, p)``
+    # is where gamma sends p.
+    index = {p: i for i, p in enumerate(points)}
+    parent = list(range(len(points)))
+    for gamma in gens:
+        for p in points:
+            a, b = _find_root(parent, index[p]), _find_root(parent, index[image(gamma, p)])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return [points[_find_root(parent, i)] for i in range(len(points))]
+
+
+def _find_root(parent, x):
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def _group_order(n, gens):
+    # Closure of the generators: every product, by breadth-first search.
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for gamma in gens:
+                q = tuple(gamma[x] for x in p)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return len(seen)
+
+
+def _automorphism_count(g):
+    edges = set(g.edges())
+    return sum(
+        all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in edges)
+        for p in itertools.permutations(range(g.order))
+    )
+
+
+def _search_canonized(monkeypatch):
+    # Every graph that min_size_edge_pancyclic(8) canonizes, in call order.
+    seen = []
+    canonize = search._canonize
+
+    def recording(g, root=None):
+        seen.append(g)
+        return canonize(g, root)
+
+    monkeypatch.setattr(search, "_canonize", recording)
+    search.min_size_edge_pancyclic(8, workers=1)
+    monkeypatch.undo()
+    return seen
+
+
+def test_backjump_matches_the_no_backjump_oracle(monkeypatch):
+    # The backjump skips only subtrees that an automorphism maps onto
+    # subtrees already searched: the code, the labeling and the generated
+    # group stay the same, and no node or leaf is added.
+    rng = random.Random(22)
+    randoms = [random_graph(rng, n, rng.random()) for n in range(1, 15) for _ in range(20)]
+    corpus = [*_frozen_corpus(), *_symmetric_corpus(), *randoms, *_search_canonized(monkeypatch)]
+    assert len(corpus) > 600
+    nodes = oracle_nodes = 0
+    for g in corpus:
+        n = g.order
+        new, old = _counted_run(_Counted, g), _counted_run(_CountedOracle, g)
+        assert (new.best_code, new.best_perm) == (old.best_code, old.best_perm), g.edges()
+        vertices = list(range(n))
+        pairs = list(itertools.combinations(vertices, 2))
+        for points, image in ((vertices, _on_vertex), (pairs, _on_pair)):
+            assert _orbit_labels(points, new.gen_set, image) == _orbit_labels(
+                points, old.gen_set, image
+            ), g.edges()
+        if n <= 8:
+            order = _group_order(n, new.gen_set)
+            assert order == _group_order(n, old.gen_set), g.edges()
+            if n <= 6:
+                assert order == _automorphism_count(g), g.edges()
+        assert new.nodes <= old.nodes and new.leaves <= old.leaves, g.edges()
+        nodes += new.nodes
+        oracle_nodes += old.nodes
+    assert nodes < oracle_nodes
