@@ -4,7 +4,7 @@ The workhorse is a depth-first search for a simple (a, b)-path of an exact
 edge count. A cycle of length L through edge ab is exactly a simple
 (a, b)-path of length L - 1 in the graph without ab. A DFS node is a path
 a .. cur with r edges still to go; it tries cur's neighbours in ascending
-order, and three exact rules cut it short:
+order, and four exact rules cut it short:
 
 - Residual scan, b a sink. A breadth-first scan from cur over the
   unvisited vertices, never expanding b, prunes the node unless b lies
@@ -19,6 +19,11 @@ order, and three exact rules cut it short:
 - One-step close. With r == 2 and no required edge left to cover, the
   node closes the path through the lowest unvisited common neighbour of
   cur and b: the first child whose last step the DFS would complete.
+- Dead ends (after Rubin, JACM 21, 1974). Once the scan passes with at
+  most r + 2 vertices reached, cur and b included, r - 1 of the others
+  need two reached neighbours: the inner vertices of any completion do,
+  as both of their path neighbours lie on it. The count only grows with
+  the scan, so a short count resumes it and prunes once it runs out.
 
 A pruned subtree holds no path, and the close returns the path its
 children would have found first, so the search finds the same first path
@@ -41,11 +46,16 @@ Cycle probes run inside the edge's block (Hopcroft & Tarjan, CACM 16(6),
 1973). A cycle is 2-connected, so a cycle through ab lies inside ab's
 block: a length above the block's order (a bridge is a block of order 2)
 is certified absent with no DFS, and so is an odd length in a bipartite
-block, which has no odd cycle. Neither spends budget; ``stats`` counts them
+block, which has no odd cycle. A block B is also certified
+non-Hamiltonian, and every later length-|B| pair of it absent, once
+exhausted DFS probes have put deg_B(x) - 1 distinct edges at one vertex x
+on no Hamilton cycle of B: a Hamilton cycle uses two edges at x, and at
+most one is left. None of these spends budget; ``stats`` counts them
 as ``certified``, apart from the DFS ``probes``. Every other cycle probe
 searches the graph without ab restricted to ab's block. That DFS walks a
 subtree of the unrestricted one in the same neighbour order: every pruning
-test reads a subset of the same residual graph, and every path it can
+test reads a subset of the same residual graph and prunes there whenever
+it prunes on the whole of it, and every path it can
 complete lies in the block, as does the common neighbour a one-step close
 picks (it closes a cycle through ab). So it finds the same witness,
 expands at most as many nodes, and under a budget can only turn an
@@ -178,7 +188,7 @@ def _find_exact_path(
 
     A node is a path a .. cur with r edges still to go; each spends one
     budget unit. It tries cur's unvisited neighbours other than b in
-    ascending order. Three rules cut it short, each without changing which
+    ascending order. Four rules cut it short, each without changing which
     path is found first (module docstring):
 
     - At r == 2 with no required edge still to cover, the path closes
@@ -196,6 +206,11 @@ def _find_exact_path(
       is done without reaching b. The tests only ever turn from failing to
       passing as levels are added, so the early stop decides as the full
       BFS would.
+    - Dead ends. When the tests pass with at most r + 2 vertices reached
+      (cur and b included), the node also needs r - 1 other reached
+      vertices with two reached neighbours, as the inner vertices of any
+      completion have. A short count resumes the BFS, since it only grows,
+      and the node is pruned only when the BFS runs out.
     """
     if length < 1 or a == b:
         raise GraphError("path probes need distinct endpoints and length >= 1")
@@ -236,12 +251,29 @@ def _find_exact_path(
                 frontier ^= low
             nxt &= alive & ~seen
             seen |= nxt
+            frontier = nxt & ~bbit
             if not seen & bbit:
                 if d >= r:
                     return False
-            elif seen.bit_count() > r and seen & want == want:
-                break
-            frontier = nxt & ~bbit
+                continue
+            size = seen.bit_count()
+            if size <= r or seen & want != want:
+                continue
+            if size <= r + 2:
+                # Dead-end count: at most size - r - 1 reached vertices other
+                # than cur and b may have fewer than two reached neighbours.
+                spare = size - r - 1
+                rest = seen ^ cbit ^ bbit
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    if (adj[low.bit_length() - 1] & seen).bit_count() < 2:
+                        spare -= 1
+                        if spare < 0:
+                            break
+                if spare < 0:
+                    continue
+            break
         else:
             return False
         nbrs = adj[cur] & alive & ~bbit
@@ -286,13 +318,16 @@ class _Probes:
     probe, the probe count, the count of cycle probes certified without a
     DFS, the count of cycle pairs answered by a recorded or reshaped cycle,
     each edge's block (computed on the first cycle probe), each probed
-    edge's block-without-edge adjacency, built on first use, and the
-    recorded cycles ("rings"). Every DFS goes through ``_probe``.
+    edge's block-without-edge adjacency, built on first use, the recorded
+    cycles ("rings"), and what the Hamilton-length probes proved of each
+    block. Every DFS goes through ``_probe``.
 
     Witness reuse (module docstring): one index lists, for each length L
     and vertex x, the L-rings through x in record order; a ring is written
-    once per vertex on it. A cycle probe of (ab, L) scans the L-rings
-    through a and is answered by
+    once per vertex on it, and a length's lists are made when its first
+    ring is recorded. :meth:`_answer`, which both :meth:`cycle` and
+    :meth:`lengths` ask, scans the L-rings through a and answers a cycle
+    pair (ab, L) by
 
     - the first of them with b next to a: a ring with ab on it passes
       through a, so this is the first ring recorded with ab on it;
@@ -306,11 +341,17 @@ class _Probes:
     - else the result of :meth:`_search`.
 
     Every case but the first records the ring it gives (a search, when it
-    finds one), and only a search spends budget; the ring is returned
-    turned to run from a to b. An answer depends only on the graph and the
-    order of the check's pairs. The index holds tuples, so a caller's
+    finds one), and only a search spends budget; :meth:`cycle` returns the
+    ring turned to run from a to b. An answer depends only on the graph and
+    the order of the check's pairs. The index holds tuples, so a caller's
     witness list cannot change it, and it lives as long as the check: one
-    graph's (edge, length) pairs."""
+    graph's (edge, length) pairs.
+
+    Non-Hamiltonian blocks (module docstring): once exhausted DFS probes
+    put deg_B(x) - 1 distinct edges at a vertex x of block B on no Hamilton
+    cycle of B, there is none, as it would use two edges at x; every later
+    (e, |B|) pair of B is certified absent. Absent pairs never meet a ring,
+    so they reach the DFS in the check's order with or without reuse."""
 
     def __init__(self, g: Graph, budget: int | None = None):
         if budget is not None and budget < 0:
@@ -323,9 +364,14 @@ class _Probes:
         self.reused = 0
         self.t0 = time.monotonic()
         self._blocks: dict[Edge, Block] | None = None
-        self._without: dict[Edge, tuple[int, ...]] = {}
-        # (length, v) -> the rings of that length through v, in record order
-        self._rings: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        self._without: dict[Edge, list[int]] = {}
+        # _rings[L][v]: the L-rings through v, in record order; None until
+        # the first L-ring is recorded
+        self._rings: list[list[list[tuple[int, ...]]] | None] = [None] * (g.order + 1)
+        # block mask -> {x: the neighbours y of x with xy on no Hamilton
+        # cycle of the block, as a mask}
+        self._off_hamilton: dict[int, dict[int, int]] = {}
+        self._non_hamiltonian: set[int] = set()
 
     def path(
         self, a: int, b: int, length: int, required: tuple[int, int] | None = None
@@ -337,37 +383,52 @@ class _Probes:
     def cycle(self, a: int, b: int, length: int) -> tuple[bool | None, list[int] | None]:
         """A cycle of ``length`` through edge ab, as an (a, b)-path of
         ``length - 1`` edges without ab, found as the class docstring says."""
-        swap = miss = None
-        for ring in self._rings.get((length, a), ()):
-            i = ring.index(a)
-            if ring[i - 1] == b or ring[i + 1 - length] == b:
-                break
-            if swap is None:
-                if b in ring:
-                    swap = self._exchange(ring, i, ring.index(b))
-                elif miss is None:
-                    miss = ring, i
-        else:
-            ring = swap
-            if ring is None and miss is not None:
-                ring = self._substitute(*miss, b)
-            if ring is None:
-                ring = self._insert(a, b, length)
-            if ring is None:
-                found, witness = self._search(a, b, length)
-                if found:
-                    self._record(tuple(witness), length)
-                return found, witness
-            self._record(ring, length)
-            i = ring.index(a)
-        self.reused += 1
+        ring = self._answer(a, b, length)
+        if not ring:
+            return ring, None
+        i = ring.index(a)
         if ring[i - 1] == b:  # the ring runs a, ..., b as recorded
             return True, [*ring[i:], *ring[:i]]
         return True, [*ring[i::-1], *ring[:i:-1]]
 
+    def _answer(self, a: int, b: int, length: int) -> tuple[int, ...] | bool | None:
+        """The ring that answers the cycle pair (ab, ``length``), with ab on
+        it; False when the pair is certified absent, None when the budget
+        stopped its DFS."""
+        rows = self._rings[length]
+        swap = miss = None
+        if rows is not None:
+            for ring in rows[a]:
+                i = ring.index(a)
+                if ring[i - 1] == b or ring[i + 1 - length] == b:
+                    self.reused += 1
+                    return ring
+                if swap is None:
+                    if b in ring:
+                        swap = self._exchange(ring, i, ring.index(b))
+                    elif miss is None:
+                        miss = ring, i
+        ring = swap
+        if ring is None and miss is not None:
+            ring = self._substitute(*miss, b)
+        if ring is None:
+            ring = self._insert(a, b, length)
+        if ring is None:
+            found, witness = self._search(a, b, length)
+            if not found:
+                return found
+            ring = tuple(witness)
+        else:
+            self.reused += 1
+        self._record(ring, length)
+        return ring
+
     def _record(self, ring: tuple[int, ...], length: int) -> None:
+        rows = self._rings[length]
+        if rows is None:
+            rows = self._rings[length] = [[] for _ in range(self.g.order)]
         for x in ring:
-            self._rings.setdefault((length, x), []).append(ring)
+            rows[x].append(ring)
 
     def _exchange(self, ring: tuple[int, ...], i: int, j: int) -> tuple[int, ...] | None:
         """An L-ring through the chord c_i c_j of ``ring`` = c_0 .. c_{L-1},
@@ -409,9 +470,12 @@ class _Probes:
         with a ring edge xy other than ab whose ends have a common neighbour
         w off the ring gives the simple L-cycle .. x w y ..: the lowest such
         w, at the first such edge in ring order."""
-        adj = self.g.adj
         short = length - 1
-        for ring in self._rings.get((short, a), ()):
+        rows = self._rings[short]
+        if rows is None:
+            return None
+        adj = self.g.adj
+        for ring in rows[a]:
             i = ring.index(a)
             if ring[i - 1] != b and ring[i + 1 - short] != b:
                 continue
@@ -429,24 +493,44 @@ class _Probes:
     def _search(self, a: int, b: int, length: int) -> tuple[bool | None, list[int] | None]:
         """Cycle probe by DFS: an (a, b)-path of ``length - 1`` edges in
         ab's block without ab. Certified absent, with no DFS and no budget
-        spent, when ``length`` exceeds the block's order or is odd in a
-        bipartite block."""
+        spent, when ``length`` exceeds the block's order, is odd in a
+        bipartite block, or is the order of a block certified
+        non-Hamiltonian (class docstring)."""
         if self._blocks is None:
             self._blocks = edge_blocks(self.g)
         key = Edge.of(a, b)
-        block = self._blocks[key]
-        if length > block.order or (block.bipartite and length & 1):
+        mask, bipartite = self._blocks[key]
+        order = mask.bit_count()
+        if (
+            length > order
+            or (bipartite and length & 1)
+            or (length == order and mask in self._non_hamiltonian)
+        ):
             self.certified += 1
             return False, None
         adj = self._without.get(key)
         if adj is None:
-            mask = block.mask
-            adj = self._without[key] = tuple(
-                row & mask if mask >> v & 1 else 0
-                for v, row in enumerate(self.g.without_edge(a, b).adj)
-            )
+            adj = self._without[key] = [
+                row & mask if mask >> v & 1 else 0 for v, row in enumerate(self.g.adj)
+            ]
+            adj[a] &= ~(1 << b)
+            adj[b] &= ~(1 << a)
         self.probes += 1
-        return _probe(adj, a, b, length - 1, self.shared)
+        found, witness = _probe(adj, a, b, length - 1, self.shared)
+        if found is False and length == order:
+            self._rule_out(a, b, mask)
+        return found, witness
+
+    def _rule_out(self, a: int, b: int, mask: int) -> None:
+        """Note that ab lies on no Hamilton cycle of its block ``mask``, and
+        certify the block non-Hamiltonian once some vertex x has
+        deg_B(x) - 1 distinct such edges (class docstring)."""
+        off = self._off_hamilton.setdefault(mask, {})
+        adj = self.g.adj
+        for x, y in ((a, b), (b, a)):
+            edges = off[x] = off.get(x, 0) | 1 << y
+            if edges.bit_count() >= (adj[x] & mask).bit_count() - 1:
+                self._non_hamiltonian.add(mask)
 
     def lengths(self, a: int, b: int, targets: range) -> tuple[frozenset[int], int | None]:
         """Cycle lengths through edge ab among ``targets``, an ascending range
@@ -457,10 +541,10 @@ class _Probes:
             raise GraphError(f"({a}, {b}) is not an edge of the graph")
         found = set()
         for length in targets:
-            ok, _ = self.cycle(a, b, length)
-            if ok is None:
+            ring = self._answer(a, b, length)
+            if ring is None:
                 return frozenset(found), length
-            if ok:
+            if ring:
                 found.add(length)
         return frozenset(found), None
 

@@ -372,12 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="edge-pancyclic, vertex-pancyclic and pancyclic only: "
                         "total DFS node cap per checked graph, shared by all of "
                         "its (edge, length) probes; lengths certified absent by "
-                        "the edge's block spend none, nor do pairs answered by "
-                        "a cycle found earlier in the check, by a chord "
-                        "exchange or a vertex substitution on one of the same "
-                        "length, or by a vertex insertion into one a length "
-                        "shorter (stats.reused), and stats.probes counts DFS "
-                        "probes only; default unlimited")
+                        "the edge's block (its order too, once the block is "
+                        "certified non-Hamiltonian) spend none, nor do pairs "
+                        "answered by a cycle found earlier in the check, by a "
+                        "chord exchange or a vertex substitution on one of the "
+                        "same length, or by a vertex insertion into one a "
+                        "length shorter (stats.reused), and stats.probes counts "
+                        "DFS probes only; the DFS prunes dead ends and adds no "
+                        "node for it; default unlimited")
     p.add_argument("--witnesses", action="store_true", default=None,
                    help="edge-pancyclic only: include one cycle per (edge, length)")
     p.add_argument("--kappa", type=_non_negative,
@@ -391,10 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_non_negative,
                    help="total DFS node cap per graph, shared by all of its "
                         "(edge, length) probes; lengths certified absent by the "
-                        "edge's block spend none, nor do pairs answered by a "
-                        "cycle found earlier for the graph, by a chord exchange "
-                        "or a vertex substitution on one of the same length, "
-                        "or by a vertex insertion into one a length shorter; a "
+                        "edge's block (its order too, once the block is "
+                        "certified non-Hamiltonian) spend none, nor do pairs "
+                        "answered by a cycle found earlier for the graph, by a "
+                        "chord exchange or a vertex substitution on one of the "
+                        "same length, or by a vertex insertion into one a "
+                        "length shorter; "
+                        "the DFS prunes dead ends and adds no node for it; a "
                         "spectrum line carries no stats; a stopped spectrum "
                         "lists only confirmed lengths and exits 3")
     p.set_defaults(func=_run_spectrum)

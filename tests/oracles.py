@@ -11,10 +11,12 @@ shortcut left out, kept to show that the shortcut changes no result:
 ``PlainProbes`` (no cycle-witness reuse), ``ExchangeOnlyProbes`` (reuse
 and the chord exchange, no vertex substitution or insertion),
 ``ReuseOnlyProbes`` (reuse alone), ``TwoTableProbes`` (each recorded cycle
-also kept in a table keyed by its edges), ``plain_find_exact_path`` (the
+also kept in a table keyed by its edges), ``NoHamiltonCertificateProbes``
+(no non-Hamiltonian block certificate), ``plain_find_exact_path`` (the
 path DFS with a full residual BFS at every node: b expanded like any
-vertex, no early stop, no one-step close) and ``NoBackjumpCanonizer`` (the
-canonizer without the jump back to the first path).
+vertex, no early stop, no one-step close, no dead-end count) and
+``NoBackjumpCanonizer`` (the canonizer without the jump back to the first
+path).
 """
 
 from __future__ import annotations
@@ -440,8 +442,17 @@ class PlainProbes(checks._Probes):
     to the block certificates and the block-restricted DFS, as if no cycle
     had been found before it."""
 
-    def cycle(self, a, b, length):
-        return self._search(a, b, length)
+    def _answer(self, a, b, length):
+        found, witness = self._search(a, b, length)
+        return tuple(witness) if found else found
+
+
+class NoHamiltonCertificateProbes(checks._Probes):
+    """The probe engine that never certifies a block non-Hamiltonian: every
+    Hamilton-length pair that no recorded cycle answers is searched."""
+
+    def _rule_out(self, a, b, mask):
+        pass
 
 
 class ExchangeOnlyProbes(checks._Probes):
@@ -476,33 +487,33 @@ class TwoTableProbes(checks._Probes):
     def __init__(self, g, budget=None):
         super().__init__(g, budget)
         self._cycles = {}
+        self._lists = {}  # (length, vertex) -> rings, in record order
 
-    def cycle(self, a, b, length):
+    def _answer(self, a, b, length):
         known = self._cycles.get((a, b, length) if a < b else (b, a, length))
         if known is None:
             known = self._exchange(a, b, length)
             if known is None:
                 found, witness = self._search(a, b, length)
-                if found:
-                    self._record(tuple(witness), length)
-                return found, witness
+                if not found:
+                    return found
+                known = tuple(witness)
+                self._record(known, length)
+                return known
             self._record(known, length)
         self.reused += 1
-        i = known.index(a)
-        if known[i - 1] == b:  # the ring runs a, ..., b as recorded
-            return True, [*known[i:], *known[:i]]
-        return True, [*known[i::-1], *known[:i:-1]]
+        return known
 
     def _record(self, ring, length):
         pairs = self._cycles.setdefault
         for x, y in zip(ring, ring[1:] + ring[:1]):
             pairs((x, y, length) if x < y else (y, x, length), ring)
         for x in ring:
-            self._rings.setdefault((length, x), []).append(ring)
+            self._lists.setdefault((length, x), []).append(ring)
 
     def _exchange(self, a, b, length):
         adj = self.g.adj
-        for ring in self._rings.get((length, a), ()):
+        for ring in self._lists.get((length, a), ()):
             if b not in ring:
                 continue
             i, j = sorted((ring.index(a), ring.index(b)))
@@ -521,7 +532,7 @@ def plain_find_exact_path(
     budget,
     required: tuple[int, int] | None = None,
 ) -> list[int] | None:
-    """``checks._find_exact_path`` without its three shortcuts: at
+    """``checks._find_exact_path`` without its four shortcuts: at
     every node a BFS of the whole residual graph from cur, b expanded like
     any other vertex, then the same three tests, and children down to
     r == 1. Same arguments, same witness order; raises

@@ -40,6 +40,7 @@ from pancyclic import (
 from conftest import random_connected_graph, random_graph
 from oracles import (
     ExchangeOnlyProbes,
+    NoHamiltonCertificateProbes,
     PlainProbes,
     ReuseOnlyProbes,
     TwoTableProbes,
@@ -218,18 +219,18 @@ def test_budget_yields_unknown_not_wrong():
     assert any(k.startswith("undecided") for k in rep.evidence)
     rng = random.Random(31)
     undecided = set()
-    # 18 is the largest budget at which every check below leaves some graph
+    # 11 is the largest budget at which every check below leaves some graph
     # undecided.
     for _ in range(40):
         g = random_connected_graph(rng, rng.randint(4, 7), 0.5)
         for check in (is_edge_pancyclic, is_vertex_pancyclic, is_pancyclic):
-            budgeted = check(g, budget=18).verdict
+            budgeted = check(g, budget=11).verdict
             if budgeted is None:
                 undecided.add(check.__name__)
             else:
                 assert budgeted == check(g).verdict
         full = cycle_spectrum(g).lengths_by_edge
-        part = cycle_spectrum(g, budget=18)
+        part = cycle_spectrum(g, budget=11)
         for e, lengths in part.lengths_by_edge.items():
             assert lengths <= full[e]
         if part.complete:
@@ -419,9 +420,9 @@ def test_certified_lengths_never_reach_the_dfs(monkeypatch):
     reused = []  # each cycle pair that a recorded cycle answered
 
     class Logged(checks._Probes):
-        def cycle(self, a, b, length):
+        def _answer(self, a, b, length):
             before = self.reused
-            out = super().cycle(a, b, length)
+            out = super()._answer(a, b, length)
             if self.reused > before:
                 reused.append((Edge.of(a, b), length))
             return out
@@ -725,6 +726,93 @@ def test_one_ring_index_matches_the_two_table_engine(monkeypatch):
                              for check in _CHECKS for budget in (None, 5, 40, 300)])
         assert runs[1] == runs[0]
     assert reused > 0
+
+
+def with_engine(monkeypatch, engine, run):
+    with monkeypatch.context() as m:
+        m.setattr(checks, "_Probes", engine)
+        return run()
+
+
+def petersen():
+    # Outer 5-cycle 0 .. 4, spokes i - i+5, inner pentagram 5 .. 9.
+    return build_graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                       + [(i, i + 5) for i in range(5)]
+                       + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def test_non_hamiltonian_certificate_matches_the_engine_without_it(monkeypatch):
+    # The certificate only turns Hamilton-length DFS probes into certified
+    # pairs: the same answer and witness for every pair, the same spectra,
+    # verdicts and evidence, and at least as much budget left.
+    rng = random.Random(61)
+    corpus = list(NAMED) + [petersen(), q_graph(25)] + [
+        random_connected_graph(rng, n, density)
+        for n in range(8, 13)
+        for density in (0.1, 0.25, 0.4, 0.6)
+        for _ in range(2)
+    ]
+    for n in range(3, 8):
+        corpus += enumerate_graphs(n, graph_filter=GraphFilter(connectivity=1))
+    moved = 0
+    for g in corpus:
+        probes, ref = checks._Probes(g), NoHamiltonCertificateProbes(g)
+        for e in g.edges():
+            for length in range(3, g.order + 1):
+                assert probes.cycle(e.u, e.v, length) == ref.cycle(e.u, e.v, length)
+        assert probes.probes + probes.certified == ref.probes + ref.certified
+        assert probes.reused == ref.reused
+        moved += ref.probes - probes.probes
+        oracle = lambda run: with_engine(monkeypatch, NoHamiltonCertificateProbes, run)
+        assert cycle_spectrum(g) == oracle(lambda: cycle_spectrum(g))
+        for check in _CHECKS:
+            got = check(g, None)
+            want = oracle(lambda: check(g, None))
+            assert (got.verdict, got.evidence) == (want.verdict, want.evidence)
+            assert (got.stats["probes"] + got.stats["certified"], got.stats["reused"]) == (
+                want.stats["probes"] + want.stats["certified"], want.stats["reused"])
+            for budget in (5, 40, 300):
+                got = check(g, budget)
+                want = oracle(lambda: check(g, budget))
+                assert got.stats["budget_left"] >= want.stats["budget_left"]
+                if want.verdict is not None:
+                    assert (got.verdict, got.evidence) == (want.verdict, want.evidence)
+        for budget in (5, 40, 300):
+            want = oracle(lambda: cycle_spectrum(g, budget=budget))
+            if want.complete:
+                assert cycle_spectrum(g, budget=budget) == want
+    assert moved > 0
+
+
+def test_petersen_hamilton_length_takes_two_probes(monkeypatch):
+    # Every vertex has degree 3, so two edges at vertex 0 off every Hamilton
+    # cycle certify the other 13 edges at length 10.
+    g = petersen()
+    counter = _CountingProbe(monkeypatch)
+    probes, ref = checks._Probes(g), NoHamiltonCertificateProbes(g)
+    for e in g.edges():
+        assert probes.lengths(e.u, e.v, range(3, 11))[0] == {5, 6, 8, 9}
+    assert [(a, b) for a, b, length in counter.seen if length == 9] == [(0, 1), (0, 4)]
+    for e in g.edges():
+        ref.lengths(e.u, e.v, range(3, 11))
+    assert sum(length == 9 for _, _, length in counter.seen) == 2 + 15
+    assert probes.certified - ref.certified == 13
+    assert probes.probes + probes.certified == ref.probes + ref.certified == 77
+
+
+def test_non_hamiltonian_certificate_counts_distinct_edges():
+    # C6 plus the chord 0-3, which lies on no Hamilton cycle. A vertex-
+    # pancyclic check asks a pair once from each end: the second ask must
+    # not count as a second edge at 0 or 3, or the block would be certified
+    # non-Hamiltonian while the rim 0 .. 5 is a Hamilton cycle.
+    g = build_graph(6, [(v, (v + 1) % 6) for v in range(6)] + [(0, 3)])
+    probes = checks._Probes(g)
+    assert probes.cycle(0, 3, 6) == (False, None)
+    assert probes.cycle(0, 3, 6) == (False, None)
+    found, walk = probes.cycle(0, 1, 6)
+    assert found
+    assert_cycle_witness(g, 0, 1, 6, walk)
+    assert (probes.probes, probes.certified) == (3, 0)
 
 
 def test_budget_spectrum_incomplete_flag():

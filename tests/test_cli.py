@@ -17,7 +17,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 from conftest import random_graph
-from test_checks import battery_nodes
+from test_checks import _CountingProbe, battery_nodes, petersen
 
 import pancyclic
 from pancyclic import (
@@ -577,8 +577,14 @@ def test_benchmark_tracer_seams(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    with tracer.Counters():
-        pass
+    # The counting pass reads DFS nodes through the node budget, so the
+    # kernel must spend exactly one budget unit per node.
+    with tracer.Counters() as counters:
+        with monkeypatch.context() as m:
+            counter = _CountingProbe(m)
+            cycle_spectrum(petersen())
+    assert counters.dfs_nodes > 0
+    assert counters.dfs_nodes == counter.nodes
     with tracer.Tracer() as t:
         run_cli(monkeypatch, capsys, ["check", "edge-pancyclic"],
                 stdin=emit_graph6(wheel(5)))
