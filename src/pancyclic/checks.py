@@ -84,7 +84,9 @@ when no recorded cycle has ab on it, and the new cycle is recorded in
 turn. ``stats`` counts the pairs answered by a recorded or reshaped cycle
 as ``reused``. Every such step only proves a length present; absence is
 still proved only by an exhausted DFS or a block certificate, so every
-spectrum and verdict stays exact. A check asks for its pairs in the same
+spectrum and verdict stays exact. An absent pair never meets a recorded
+cycle, so it reaches the DFS either way, and the non-Hamiltonian
+certificate fires at the same pair. A check asks for its pairs in the same
 order either way and a probed pair costs the same nodes, so a budgeted
 check has at least as much budget left at every point as it would without
 them, and decides at least as much. Recorded cycles are scanned in record
@@ -182,35 +184,18 @@ def _find_exact_path(
     budget: _Budget,
     required: tuple[int, int] | None = None,
 ) -> list[int] | None:
-    """Vertex list of a simple (a, b)-path with exactly ``length`` edges, or
-    None when no such path exists. Raises _OutOfBudget when the node budget
-    runs out before either answer is certain.
+    """Vertex list of a simple (a, b)-path with exactly ``length`` edges,
+    through ``required`` when it is set, or None when no such path exists.
+    Raises _OutOfBudget when the node budget runs out before either answer
+    is certain.
 
     A node is a path a .. cur with r edges still to go; each spends one
     budget unit. It tries cur's unvisited neighbours other than b in
-    ascending order. Four rules cut it short, each without changing which
-    path is found first (module docstring):
-
-    - At r == 2 with no required edge still to cover, the path closes
-      through the lowest unvisited common neighbour w of cur and b. That
-      is the child whose r == 1 test the DFS would pass first, so the node
-      returns the same path without expanding any child.
-    - Otherwise a residual BFS from cur, over the unvisited vertices, with
-      b a sink (never expanded), prunes the node unless b lies within r
-      steps, at least r unvisited vertices are reached and, when the
-      required edge is not yet on the path, both its endpoints are
-      reached. The rest of the path runs from cur to b through unvisited
-      vertices and never through b, so every vertex on it is reached, and
-      b at distance at most r: a pruned node has no completion.
-    - The BFS stops as soon as all three tests pass, or fails once level r
-      is done without reaching b. The tests only ever turn from failing to
-      passing as levels are added, so the early stop decides as the full
-      BFS would.
-    - Dead ends. When the tests pass with at most r + 2 vertices reached
-      (cur and b included), the node also needs r - 1 other reached
-      vertices with two reached neighbours, as the inner vertices of any
-      completion have. A short count resumes the BFS, since it only grows,
-      and the node is pruned only when the BFS runs out.
+    ascending order, cut short by the four rules the module docstring
+    argues: at r == 2 with no required edge still to cover, the one-step
+    close; otherwise the residual BFS from cur with b a sink, stopped
+    early, and the dead-end count when the BFS passes with at most r + 2
+    vertices reached. The first path found is the plain DFS's.
     """
     if length < 1 or a == b:
         raise GraphError("path probes need distinct endpoints and length >= 1")
@@ -329,8 +314,8 @@ class _Probes:
     :meth:`lengths` ask, scans the L-rings through a and answers a cycle
     pair (ab, L) by
 
-    - the first of them with b next to a: a ring with ab on it passes
-      through a, so this is the first ring recorded with ab on it;
+    - the first of them with b next to a, the first ring recorded with ab
+      on it;
     - else the first chord exchange (:meth:`_exchange`) that one of them
       with b on it admits, computed once while the scan looks on for the
       first case;
@@ -342,16 +327,14 @@ class _Probes:
 
     Every case but the first records the ring it gives (a search, when it
     finds one), and only a search spends budget; :meth:`cycle` returns the
-    ring turned to run from a to b. An answer depends only on the graph and
-    the order of the check's pairs. The index holds tuples, so a caller's
+    ring turned to run from a to b. The index holds tuples, so a caller's
     witness list cannot change it, and it lives as long as the check: one
     graph's (edge, length) pairs.
 
-    Non-Hamiltonian blocks (module docstring): once exhausted DFS probes
-    put deg_B(x) - 1 distinct edges at a vertex x of block B on no Hamilton
-    cycle of B, there is none, as it would use two edges at x; every later
-    (e, |B|) pair of B is certified absent. Absent pairs never meet a ring,
-    so they reach the DFS in the check's order with or without reuse."""
+    A block B is certified non-Hamiltonian (module docstring) once
+    exhausted DFS probes put deg_B(x) - 1 distinct edges at one vertex x on
+    no Hamilton cycle of B; every later (e, |B|) pair of B is then
+    certified absent."""
 
     def __init__(self, g: Graph, budget: int | None = None):
         if budget is not None and budget < 0:
@@ -495,7 +478,7 @@ class _Probes:
         ab's block without ab. Certified absent, with no DFS and no budget
         spent, when ``length`` exceeds the block's order, is odd in a
         bipartite block, or is the order of a block certified
-        non-Hamiltonian (class docstring)."""
+        non-Hamiltonian (module docstring)."""
         if self._blocks is None:
             self._blocks = edge_blocks(self.g)
         key = Edge.of(a, b)
@@ -524,7 +507,7 @@ class _Probes:
     def _rule_out(self, a: int, b: int, mask: int) -> None:
         """Note that ab lies on no Hamilton cycle of its block ``mask``, and
         certify the block non-Hamiltonian once some vertex x has
-        deg_B(x) - 1 distinct such edges (class docstring)."""
+        deg_B(x) - 1 distinct such edges (module docstring)."""
         off = self._off_hamilton.setdefault(mask, {})
         adj = self.g.adj
         for x, y in ((a, b), (b, a)):

@@ -104,47 +104,51 @@ def _run_construct(args: argparse.Namespace) -> int:
     return EXIT_TRUE
 
 
-def _run_check(args: argparse.Namespace) -> int:
-    options = _options(args, "check", args.predicate, checks.PREDICATES)
+def _per_line(command: str, answer, **inputs) -> int:
+    """Print one envelope per graph6 line of standard input and return the
+    worst exit code. ``answer(g)`` gives the line's (result, exit code); a
+    ``GraphError`` it raises is named by its line. The envelope's inputs are
+    the line, its graph6 and the given ``inputs`` that are not None."""
+    inputs = {k: v for k, v in inputs.items() if v is not None}
     codes = []
     for lineno, line, g in _stdin_graphs():
         t0 = time.monotonic()
         try:
-            result = checks.check(args.predicate, g, **options).to_json_dict()
+            result, code = answer(g)
         except GraphError as exc:
             raise GraphError(f"line {lineno}: {exc}") from exc
-        inputs = {"line": lineno, "graph6": line, "predicate": args.predicate}
-        if args.budget is not None:
-            inputs["budget"] = args.budget
-        print(_envelope("check", inputs, result, t0))
+        print(_envelope(command, {"line": lineno, "graph6": line, **inputs}, result, t0))
+        codes.append(code)
+    return _worst(codes)
+
+
+def _run_check(args: argparse.Namespace) -> int:
+    options = _options(args, "check", args.predicate, checks.PREDICATES)
+
+    def answer(g: Graph) -> tuple[dict, int]:
+        result = checks.check(args.predicate, g, **options).to_json_dict()
         verdict = result["verdict"]
-        codes.append(
+        return result, (
             EXIT_TRUE if verdict else EXIT_BUDGET if verdict is None else EXIT_FALSE
         )
-    return _worst(codes)
+
+    return _per_line("check", answer, predicate=args.predicate, budget=args.budget)
 
 
 def _run_spectrum(args: argparse.Namespace) -> int:
-    codes = []
-    for lineno, line, g in _stdin_graphs():
-        t0 = time.monotonic()
+    def answer(g: Graph) -> tuple[dict, int]:
         spec = checks.cycle_spectrum(g, budget=args.budget)
-        result = spec.to_json_dict()
-        inputs = {"line": lineno, "graph6": line}
-        if args.budget is not None:
-            inputs["budget"] = args.budget
-        print(_envelope("spectrum", inputs, result, t0))
-        codes.append(EXIT_TRUE if spec.complete else EXIT_BUDGET)
-    return _worst(codes)
+        return spec.to_json_dict(), EXIT_TRUE if spec.complete else EXIT_BUDGET
+
+    return _per_line("spectrum", answer, budget=args.budget)
 
 
 def _run_canon(args: argparse.Namespace) -> int:
-    for lineno, line, g in _stdin_graphs():
-        t0 = time.monotonic()
+    def answer(g: Graph) -> tuple[dict, int]:
         code = canonical_code(g)
-        result = {"graph6": code.graph6(), "code_hex": code.hex()}
-        print(_envelope("canon", {"line": lineno, "graph6": line}, result, t0))
-    return EXIT_TRUE
+        return {"graph6": code.graph6(), "code_hex": code.hex()}, EXIT_TRUE
+
+    return _per_line("canon", answer)
 
 
 def _outcome_exit(outcome: search.SearchOutcome) -> int:
@@ -183,16 +187,16 @@ def _min_size_stream(order: int, stream: str) -> tuple[dict, search.SearchOutcom
 _MIN_SIZE = {
     "edge-pancyclic": (_min_size_edge_pancyclic, ("workers", "max_classes")),
     "triangle-cover": (_min_size_triangle_cover, ("kappa", "workers", "max_classes")),
-    "--stream": (_min_size_stream, ("stream",)),
+    "edge-pancyclic stream": (_min_size_stream, ("stream",)),
 }
 
 
 def _run_search_min_size(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    # --stream selects the stream mode of the edge-pancyclic search; the
+    # --stream selects the stream row of the edge-pancyclic search; the
     # triangle-cover search does not read it.
     streamed = args.stream is not None and args.predicate == "edge-pancyclic"
-    name = "--stream" if streamed else args.predicate
+    name = "edge-pancyclic stream" if streamed else args.predicate
     options = _options(args, "search min-size", name, _MIN_SIZE)
     inputs, outcome = _MIN_SIZE[name][0](args.order, **options)
     inputs.update(order=args.order, predicate=args.predicate)
@@ -336,6 +340,67 @@ def _non_negative(text: str) -> int:
     return value
 
 
+# One spec per option: its argparse keywords and its help. A table-driven
+# subcommand adds exactly the options its rows read, the help of one that
+# not every row reads prefixed with the rows that do.
+_OPTIONS: dict[str, dict] = {
+    "n": {"type": int, "help": "order"},
+    "k": {"type": int, "help": "block/ring parameter"},
+    "kind": {"choices": ("F", "G", "H"), "help": "variant"},
+    "parts": {"nargs": "+", "metavar": "TOKEN", "help": "join parts, e.g. K1 C5 E2"},
+    "budget": {
+        "type": _non_negative,
+        "help": "total DFS node cap per checked graph, shared by all of its "
+                "(edge, length) probes, the hk-props P5 spectrum included; a "
+                "run it stops exits 3 (a stopped spectrum lists only the "
+                "lengths it confirmed); default unlimited; the README's "
+                "--budget paragraph says which probes spend none",
+    },
+    "witnesses": {"action": "store_true", "default": None,
+                  "help": "include one cycle per (edge, length)"},
+    "kappa": {"type": _non_negative,
+              "help": "required vertex connectivity (check: at least 0, "
+                      "default 1; search min-size: 1, 2 or 3, default 2)"},
+    "workers": {"type": int, "help": "worker processes (default: "
+                "PANCYCLIC_WORKERS, else all processors)"},
+    "max_classes": {"type": int, "help": "stop after this many tree nodes "
+                    "(outcome marked non-exhaustive)"},
+    "exhaustive": {
+        "action": "store_true", "default": None,
+        "help": "full census (order <= 9) instead of a constructed witness; "
+                "order 9 has none, so without it the census runs anyway, "
+                "which takes about 40 s at one worker",
+    },
+    "stream": {"metavar": "FILE",
+               "help": "graph6 file replacing the built-in generator, read in "
+                       "one process with no class budget; a file that cannot "
+                       "be read as ASCII exits 2"},
+}
+
+
+def _add(p, dest: str, prefix: str = "") -> None:
+    spec = _OPTIONS[dest]
+    p.add_argument(f"--{dest.replace('_', '-')}",
+                   **{**spec, "help": prefix + spec["help"]})
+
+
+def _table_parser(sub, name: str, summary: str, noun: str, table: dict, func):
+    """Subcommand ``name`` with every option that some row of ``table`` reads."""
+    p = sub.add_parser(
+        name, help=summary,
+        description=f"{summary[0].upper()}{summary[1:]}. An option that the "
+                    f"chosen {noun} does not read (see each option's help) exits "
+                    "2 before any input is read or any search runs.",
+    )
+    for dest in _OPTIONS:
+        readers = [key for key, (_, reads) in table.items() if dest in reads]
+        if readers:
+            partial = len(readers) < len(table)
+            _add(p, dest, f"{', '.join(readers)} only: " if partial else "")
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pancyclic",
@@ -346,62 +411,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser(
-        "construct", help="emit a named family graph (graph6 or DOT)"
-    )
+    p = _table_parser(sub, "construct", "emit a named family graph (graph6 or DOT)",
+                      "family", families.FAMILIES, _run_construct)
     p.add_argument("family", help="family name, e.g. wheel, h-block, q-diameter")
-    p.add_argument("--n", type=int, help="order parameter")
-    p.add_argument("--k", type=int, help="block/ring parameter")
-    p.add_argument("--kind", choices=("F", "G", "H"),
-                   help="odd-extremal variant")
-    p.add_argument("--parts", nargs="+", metavar="TOKEN",
-                   help="join parts, e.g. K1 C5 E2")
     p.add_argument("--format", choices=("graph6", "dot"))
     p.add_argument("--labels", action="store_true", default=None,
                    help="also print the JSON label map")
-    p.set_defaults(func=_run_construct)
 
-    p = sub.add_parser(
-        "check", help="decide a predicate for each graph6 line on stdin",
-        description="Decide a predicate for each graph6 line on stdin. An "
-                    "option that the chosen predicate does not read (see each "
-                    "option's help) exits 2 before stdin is read.",
-    )
+    p = _table_parser(sub, "check", "decide a predicate for each graph6 line on stdin",
+                      "predicate", checks.PREDICATES, _run_check)
     p.add_argument("predicate", choices=tuple(checks.PREDICATES))
-    p.add_argument("--budget", type=_non_negative,
-                   help="edge-pancyclic, vertex-pancyclic and pancyclic only: "
-                        "total DFS node cap per checked graph, shared by all of "
-                        "its (edge, length) probes; lengths certified absent by "
-                        "the edge's block (its order too, once the block is "
-                        "certified non-Hamiltonian) spend none, nor do pairs "
-                        "answered by a cycle found earlier in the check, by a "
-                        "chord exchange or a vertex substitution on one of the "
-                        "same length, or by a vertex insertion into one a "
-                        "length shorter (stats.reused), and stats.probes counts "
-                        "DFS probes only; the DFS prunes dead ends and adds no "
-                        "node for it; default unlimited")
-    p.add_argument("--witnesses", action="store_true", default=None,
-                   help="edge-pancyclic only: include one cycle per (edge, length)")
-    p.add_argument("--kappa", type=_non_negative,
-                   help="connectivity only: required lower bound on the vertex "
-                        "connectivity, at least 0 (default 1)")
-    p.set_defaults(func=_run_check)
 
     p = sub.add_parser(
         "spectrum", help="per-edge cycle length sets for stdin graphs"
     )
-    p.add_argument("--budget", type=_non_negative,
-                   help="total DFS node cap per graph, shared by all of its "
-                        "(edge, length) probes; lengths certified absent by the "
-                        "edge's block (its order too, once the block is "
-                        "certified non-Hamiltonian) spend none, nor do pairs "
-                        "answered by a cycle found earlier for the graph, by a "
-                        "chord exchange or a vertex substitution on one of the "
-                        "same length, or by a vertex insertion into one a "
-                        "length shorter; "
-                        "the DFS prunes dead ends and adds no node for it; a "
-                        "spectrum line carries no stats; a stopped spectrum "
-                        "lists only confirmed lengths and exits 3")
+    _add(p, "budget")
     p.set_defaults(func=_run_spectrum)
 
     p = sub.add_parser("canon", help="canonical graph6 and hex code for stdin graphs")
@@ -410,21 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="extremal searches")
     ssub = p.add_subparsers(dest="search_kind", required=True)
 
-    q = ssub.add_parser("min-size", help="smallest size admitting the predicate")
+    q = _table_parser(ssub, "min-size", "smallest size admitting the predicate",
+                      "mode", _MIN_SIZE, _run_search_min_size)
     q.add_argument("--order", type=int, required=True)
     q.add_argument("--predicate", required=True,
                    choices=("edge-pancyclic", "triangle-cover"))
-    q.add_argument("--kappa", type=int, choices=(1, 2, 3),
-                   help="triangle-cover only: required connectivity (default 2)")
-    q.add_argument("--stream", metavar="FILE",
-                   help="graph6 file replacing the built-in generator "
-                        "(edge-pancyclic only); --kappa, --workers and "
-                        "--max-classes do not apply to it and exit 2, and so "
-                        "does a file that cannot be read as ASCII")
-    q.add_argument("--workers", type=int)
-    q.add_argument("--max-classes", type=int,
-                   help="stop after this many tree nodes (outcome marked non-exhaustive)")
-    q.set_defaults(func=_run_search_min_size)
 
     q = ssub.add_parser(
         "max-diameter",
@@ -436,35 +450,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument("--order", type=int, required=True)
     mode = q.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true", default=None,
-                      help="full census (order <= 9)")
+    _add(mode, "exhaustive")
     mode.add_argument("--witness", action="store_true", default=None,
                       help="constructed witness only")
-    q.add_argument("--workers", type=int)
-    q.add_argument("--max-classes", type=int)
+    _add(q, "workers")
+    _add(q, "max_classes")
     q.set_defaults(func=_run_search_max_diameter)
 
-    p = sub.add_parser(
-        "verify", help="reproduce a named result at given parameters",
-        description="Reproduce a named result at given parameters. An option "
-                    "that the chosen result does not read (see each option's "
-                    "help) exits 2.",
-    )
+    p = _table_parser(sub, "verify", "reproduce a named result at given parameters",
+                      "result", _VERIFY, _run_verify)
     p.add_argument("result", choices=tuple(_VERIFY))
-    p.add_argument("--n", type=int, help="order (lemma1, lemma2, erdos, thm6)")
-    p.add_argument("--k", type=int, help="parameter (thm5, hk-props)")
-    p.add_argument("--exhaustive", action="store_true", default=None,
-                   help="thm6: search instead of constructing a witness; "
-                        "without it, order 9 has no constructed witness and "
-                        "silently runs the exhaustive walk, which takes about "
-                        "40 s at one worker")
-    p.add_argument("--budget", type=_non_negative,
-                   help="one total DFS node cap for thm5/hk-props, P5 spectrum "
-                        "included; a check it stops exits 3; default unlimited")
-    p.add_argument("--workers", type=int,
-                   help="worker processes for the lemma1, lemma2, erdos and thm6 "
-                        "searches (default: PANCYCLIC_WORKERS, else all processors)")
-    p.set_defaults(func=_run_verify)
 
     return parser
 

@@ -198,7 +198,6 @@ def g_ring(k: int) -> Labeled:
             f"the ring family fits the 64-vertex cap only at k = 3, got {k}"
         )
     block = h_block(k)
-    t = 3 * k - 3
     labels = {f"x{i + 1}": i for i in range(k)}
     edges: list[tuple[int, int]] = []
     nxt = k

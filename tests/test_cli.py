@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import importlib.resources
 import importlib.util
@@ -307,9 +308,8 @@ def table_rows(tmp_path):
     for name in cli._VERIFY:
         yield ["verify", name], cli._VERIFY, name
     for name in cli._MIN_SIZE:
-        prefix = search_argv + (
-            ["edge-pancyclic", "--stream", stream] if name == "--stream" else [name]
-        )
+        streamed = name == "edge-pancyclic stream"
+        prefix = search_argv + (["edge-pancyclic", "--stream", stream] if streamed else [name])
         yield prefix, cli._MIN_SIZE, name
     for name in families.FAMILIES:
         yield ["construct", name], families.FAMILIES, name
@@ -349,9 +349,56 @@ def test_every_row_rejects_exactly_its_unread_options(monkeypatch, capsys, tmp_p
           "--kappa", "3"], "", "--kappa"),
         (["check", "edge-pancyclic", "--kappa", "5"], "DqK\n", "--kappa"),
         (["check", "connectivity", "--kappa", "-1"], "DqK\n", "kappa"),
+        (["search", "min-size", "--order", "6", "--predicate", "triangle-cover",
+          "--kappa", "0"], "", "kappa"),
+        (["search", "min-size", "--order", "6", "--predicate", "triangle-cover",
+          "--kappa", "4"], "", "kappa"),
     ):
-        code, out, err = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+        with monkeypatch.context() as m:
+            m.setattr(search, "_ascend_min_size", None)  # no walk may run
+            code, out, err = run_cli(m, capsys, argv, stdin=stdin)
         assert code == 2 and out == "" and option in err, argv
+
+
+def subcommand_parsers(parser, path=()):
+    """(path, parser) for the parser and every subcommand below it."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from subcommand_parsers(sub, path + (name,))
+
+
+def test_help_renders_and_is_derived_from_the_tables():
+    # argparse formats help lazily, so a stray "%" breaks only --help. Each
+    # table-driven subcommand offers exactly the options its rows read, plus
+    # its fixed ones, and names the reader rows of an option not all read.
+    tables = {
+        ("construct",): (families.FAMILIES, {"--format", "--labels"}),
+        ("check",): (checks.PREDICATES, set()),
+        ("search", "min-size"): (cli._MIN_SIZE, {"--order", "--predicate"}),
+        ("verify",): (cli._VERIFY, set()),
+    }
+    seen = set()
+    for path, parser in subcommand_parsers(cli.build_parser()):
+        assert parser.format_help(), path
+        if path not in tables:
+            continue
+        seen.add(path)
+        table, fixed = tables[path]
+        helps = {opt: action.help for action in parser._actions
+                 for opt in action.option_strings if opt.startswith("--")}
+        read = {opt for _, opts in table.values() for opt in opts}
+        flags = {f"--{opt.replace('_', '-')}": opt for opt in read}
+        assert set(helps) == set(flags) | fixed | {"--help"}, path
+        for flag, opt in flags.items():
+            readers = [name for name, (_, opts) in table.items() if opt in opts]
+            rows, only, _ = helps[flag].partition(" only: ")
+            if len(readers) < len(table):
+                assert only and rows == ", ".join(readers), (path, flag)
+            else:
+                assert not only, (path, flag)
+    assert seen == set(tables)
 
 
 def test_bad_budget_or_workers_fail_in_witness_mode(monkeypatch, capsys):
