@@ -266,9 +266,10 @@ def _verify_erdos(n: int, workers: int | None = None) -> tuple[dict, list[dict]]
 def _verify_ring(k: int, budget: int | None = None) -> tuple[dict, list[dict]]:
     g = families.g_ring(k).graph
     rep = checks.is_edge_pancyclic(g, budget=budget)
+    order = 6 * k * k - 5 * k
     return {"k": k, "budget": budget}, [
-        _claim("order", 13 * k, g.order),
-        _claim("size", 2 * (13 * k) - k, g.size),
+        _claim("order", order, g.order),
+        _claim("size", 2 * order - k, g.size),
         _claim("edge-pancyclic", True, rep.verdict),
     ]
 

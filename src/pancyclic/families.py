@@ -5,15 +5,17 @@ named parts (rim/spoke vertices, fan centres, block shares) also return a
 label map from conventional names like ``v1`` or ``u3`` to vertex indices,
 so the CLI's ``--labels`` line and the property batteries can point at the
 right vertices. Vertex numbering inside each constructor is fixed and
-documented inline.
+documented inline. A constructor checks only the least order or k it
+needs; :func:`build_graph` checks the order cap before it reads an edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Sequence
 
-from .graphs import Edge, Graph, GraphError, MAX_ORDER, build_graph
+from .graphs import Edge, Graph, GraphError, build_graph
 
 
 class Labeled(NamedTuple):
@@ -29,19 +31,19 @@ class Labeled(NamedTuple):
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError(f"cycle needs order >= 3, got {n}")
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return build_graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise GraphError(f"path needs order >= 1, got {n}")
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return build_graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise GraphError(f"complete graph needs order >= 1, got {n}")
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return build_graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def empty(n: int) -> Graph:
@@ -60,8 +62,6 @@ def sequential_join(parts: list[Graph]) -> Graph:
     if not parts:
         raise GraphError("sequential join needs at least one part")
     total = sum(p.order for p in parts)
-    if total > MAX_ORDER:
-        raise GraphError(f"sequential join would have order {total} > {MAX_ORDER}")
     edges = []
     offset = 0
     offsets = []
@@ -81,16 +81,18 @@ def sequential_join(parts: list[Graph]) -> Graph:
 
 def wheel(n: int) -> Graph:
     """Hub joined to an (n-1)-cycle; vertex 0 is the hub."""
-    if not 4 <= n <= MAX_ORDER:
-        raise GraphError(f"wheel needs order 4..{MAX_ORDER}, got {n}")
-    return join(complete(1), cycle(n - 1))
+    if n < 4:
+        raise GraphError(f"wheel needs order >= 4, got {n}")
+    rim = ((v, v % (n - 1) + 1) for v in range(1, n))
+    return build_graph(n, chain(((0, v) for v in range(1, n)), rim))
 
 
 def fan(n: int) -> Graph:
     """Hub joined to an (n-1)-path; vertex 0 is the hub."""
-    if not 2 <= n <= MAX_ORDER:
-        raise GraphError(f"fan needs order 2..{MAX_ORDER}, got {n}")
-    return join(complete(1), path(n - 1))
+    if n < 2:
+        raise GraphError(f"fan needs order >= 2, got {n}")
+    spine = ((v, v + 1) for v in range(1, n - 1))
+    return build_graph(n, chain(((0, v) for v in range(1, n)), spine))
 
 
 # -- the extremal families ----------------------------------------------------
@@ -188,57 +190,40 @@ def h_block_spine_edges(block: Labeled) -> tuple[Edge, ...]:
 def g_ring(k: int) -> Labeled:
     """Ring of k two-fan blocks: block i runs between ring vertices x_i and
     x_{i+1}, identified with that block's v1 and u1. Order 6k^2 - 5k, size
-    2(6k^2 - 5k) - k. The 64-vertex cap admits exactly k = 3 (order 39).
+    2(6k^2 - 5k) - k; the order cap admits k = 3..6 (orders 39..186).
 
     Numbering: ring vertices x1..xk -> 0..k-1; block i's interior vertices
     follow in block order, labelled "b{i}.v", "b{i}.v2", ... etc.
     """
-    if k != 3:
-        raise GraphError(
-            f"the ring family fits the 64-vertex cap only at k = 3, got {k}"
-        )
-    block = h_block(k)
+    if k < 3:
+        raise GraphError(f"the ring family needs k >= 3, got {k}")
     labels = {f"x{i + 1}": i for i in range(k)}
-    edges: list[tuple[int, int]] = []
-    nxt = k
-    for i in range(k):
-        mapping = {}
-        mapping[block.labels["v1"]] = i
-        mapping[block.labels["u1"]] = (i + 1) % k
-        for name, local in block.labels.items():
-            if name in ("v1", "u1"):
-                continue
-            mapping[local] = nxt
-            labels[f"b{i + 1}.{name}"] = nxt
-            nxt += 1
-        edges += [(mapping[a], mapping[b]) for a, b in block.graph.edges()]
-    return Labeled(build_graph(6 * k * k - 5 * k, edges), labels)
+
+    def edges():
+        # build_graph reads these, filling labels, only past its order check.
+        block = h_block(k)
+        nxt = k
+        for i in range(k):
+            mapping = {block.labels["v1"]: i, block.labels["u1"]: (i + 1) % k}
+            for name, local in block.labels.items():
+                if local not in mapping:
+                    mapping[local] = labels[f"b{i + 1}.{name}"] = nxt
+                    nxt += 1
+            yield from ((mapping[a], mapping[b]) for a, b in block.graph.edges())
+
+    return Labeled(build_graph(6 * k * k - 5 * k, edges()), labels)
 
 
 def q_graph(n: int) -> Graph:
     """Sequential join of small blocks realizing diameter floor(2n/5) while
-    staying edge-pancyclic; 10 <= n <= 64. The block sequence depends on
-    n mod 5 (K1/K2 caps, triangles alternating with edgeless pairs)."""
-    if not (10 <= n <= MAX_ORDER):
-        raise GraphError(f"this family is built for 10 <= n <= {MAX_ORDER}, got {n}")
+    staying edge-pancyclic; n >= 10. The block sequence depends on n mod 5
+    (K1/K2 caps, triangles alternating with edgeless pairs)."""
+    if n < 10:
+        raise GraphError(f"this family is built for n >= 10, got {n}")
     k, r = divmod(n, 5)
     k1, k2, c3, e2 = complete(1), complete(2), cycle(3), empty(2)
-    middle: list[Graph] = []
-    for j in range(k):
-        middle.append(c3)
-        if j < k - 1:
-            middle.append(e2)
-    if r == 0:
-        parts = [k1] + middle + [k1]
-    elif r == 1:
-        parts = [k1] + middle + [k2]
-    elif r == 2:
-        parts = [k2] + middle + [k2]
-    elif r == 3:
-        parts = [k1] + middle + [c3, k1]
-    else:
-        parts = [k1] + middle + [c3, k2]
-    return sequential_join(parts)
+    head, tail = ((k1, [k1]), (k1, [k2]), (k2, [k2]), (k1, [c3, k1]), (k1, [c3, k2]))[r]
+    return sequential_join([head] + [c3, e2] * (k - 1) + [c3] + tail)
 
 
 # -- family dispatch (CLI surface) -------------------------------------------

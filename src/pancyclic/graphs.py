@@ -1,16 +1,19 @@
-"""Core graph type and exact structural queries for graphs on at most 64 vertices.
+"""Core graph type and exact structural queries for graphs of order up to
+``MAX_ORDER``.
 
 A graph is stored as one Python int bitmask per vertex: bit ``j`` of row
 ``i`` is set iff ``ij`` is an edge. Every operation in this package is
-exact; nothing here samples or approximates. The 64-vertex cap keeps every
-adjacency row in a single machine word on CPython and is asserted at
-construction time.
+exact; nothing here samples or approximates. ``MAX_ORDER`` is the one order
+cap, checked only here: by :func:`build_graph` (before it reads an edge),
+:func:`graph_from_bits` and the graph6 codec. It bounds recursion depth:
+the path DFS of ``checks`` and the canonizer recurse once per vertex, and
+first hit CPython's default limit between orders 900 and 1000.
 
-graph6 encoding and decoding follow the short form of the standard format
-(first byte ``order + 63``, then the upper triangle of the adjacency
-matrix read column by column, packed into 6-bit groups). The short form
-carries orders up to 62; orders 63 and 64 are constructible through
-:func:`build_graph` but are rejected on the graph6 path.
+graph6 follows McKay's ``formats.txt``: the order byte ``order + 63`` up to
+62, above it byte 126 and the order in three 6-bit groups; then the upper
+triangle read column by column, packed into 6-bit groups. So each graph has
+one graph6 string: a long form of an order below 63 is rejected, and so is
+the 8-byte form (orders above 258047).
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-MAX_ORDER = 64
-_GRAPH6_MAX_ORDER = 62
+MAX_ORDER = 256
 _GRAPH6_HEADER = ">>graph6<<"
 _GRAPH6_BITS = {c: f"{c - 63:06b}" for c in range(63, 127)}
 
@@ -149,10 +151,15 @@ def _check_pair(order: int, u: int, v: int) -> None:
         raise GraphError(f"loop at vertex {u} is not allowed")
 
 
-def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a simple graph, validating order, endpoints, loops and duplicates."""
-    if not (0 <= order <= MAX_ORDER):
+def _check_order(order: int) -> None:
+    if not 0 <= order <= MAX_ORDER:
         raise GraphError(f"order {order} outside supported range 0..{MAX_ORDER}")
+
+
+def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Build a simple graph, validating order, endpoints, loops and duplicates.
+    The order is checked before the first edge is read."""
+    _check_order(order)
     rows = [0] * order
     for a, b in edges:
         _check_pair(order, a, b)
@@ -167,11 +174,12 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one short-form graph6 string, tolerating the standard header.
+    """Decode one graph6 string, tolerating the standard header.
 
     Raises :class:`Graph6Error` with the offending byte offset for anything
-    malformed: characters outside 63..126, truncated or overlong payloads,
-    nonzero padding bits, or the extended order forms.
+    malformed: characters outside 63..126, a long-form order that is
+    truncated or outside 63..``MAX_ORDER`` (at its byte 126), truncated or
+    overlong payloads, or nonzero padding bits.
     """
     base = 0
     line = text
@@ -185,15 +193,13 @@ def parse_graph6(text: str) -> Graph:
         code = ord(ch)
         if code < 63 or code > 126:
             raise Graph6Error(f"character {ch!r} outside graph6 range 63..126", base + i)
-    head = ord(line[0]) - 63
-    if head == 63:
-        # 126 introduces the multi-byte order forms used beyond 62 vertices.
-        raise Graph6Error(
-            "extended graph6 order form is not supported (orders above 62)", base
-        )
-    n = head
+    n, start = ord(line[0]) - 63, 1
+    if n == 63:  # the long form: the order in the next three 6-bit groups
+        n, start = int(line[1:4].translate(_GRAPH6_BITS) or "0", 2), 4
+        if len(line) < 4 or not 63 <= n <= MAX_ORDER:
+            raise Graph6Error(f"graph6 long form needs a 3-byte order in 63..{MAX_ORDER}", base)
     need = (n * (n - 1) // 2 + 5) // 6
-    body = line[1:]
+    body = line[start:]
     if len(body) < need:
         raise Graph6Error(
             f"truncated graph6 body: need {need} bytes for order {n}, got {len(body)}",
@@ -202,19 +208,19 @@ def parse_graph6(text: str) -> Graph:
     if len(body) > need:
         raise Graph6Error(
             f"overlong graph6 body: need {need} bytes for order {n}, got {len(body)}",
-            base + 1 + need,
+            base + start + need,
         )
     # Each byte is six bits of the column-major upper triangle, first entry
     # most significant; the last byte's low bits are padding.
     bits = int(body.translate(_GRAPH6_BITS) or "0", 2)
     pad = 6 * need - n * (n - 1) // 2
     if bits & ((1 << pad) - 1):
-        raise Graph6Error("nonzero padding bit in graph6 body", base + need)
+        raise Graph6Error("nonzero padding bit in graph6 body", base + start + need - 1)
     return graph_from_bits(n, bits >> pad)
 
 
 def emit_graph6(g: Graph) -> str:
-    """Encode a graph of order at most 62 as a short-form graph6 string."""
+    """Encode a graph as a graph6 string, in the long form above order 62."""
     n = g.order
     # Bit i of ``low`` is entry i of the column-major upper triangle; graph6
     # reads entry 0 first, so the bit string is reversed.
@@ -228,14 +234,12 @@ def graph6_from_bits(n: int, bits: int) -> str:
     """The graph6 string of the order-``n`` graph whose column-major upper
     triangle is the ``n(n-1)/2``-bit integer ``bits``, first entry most
     significant."""
-    if n > _GRAPH6_MAX_ORDER:
-        raise GraphError(
-            f"graph6 short form carries orders up to {_GRAPH6_MAX_ORDER}, got {n}"
-        )
+    _check_order(n)
+    head = chr(n + 63) if n < 63 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
     nbits = n * (n - 1) // 2
     shift = -nbits % 6  # graph6 pads the last group at the end
     bits <<= shift
-    return chr(n + 63) + "".join(
+    return head + "".join(
         chr((bits >> s & 63) + 63) for s in range(nbits + shift - 6, -1, -6)
     )
 

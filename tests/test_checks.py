@@ -504,6 +504,21 @@ def assert_cycle_witness(g, a, b, length, walk):
     assert all(g.has_edge(x, y) for x, y in zip(walk, walk[1:] + walk[:1]))
 
 
+def test_ring_k4_witnesses_hold_on_the_adjacency():
+    # g_ring(4) (order 76) is past the short graph6 form; each witness of
+    # its edge-pancyclic report, one per (edge, length), is re-checked.
+    ring = g_ring(4).graph
+    report = is_edge_pancyclic(ring, witnesses=True)
+    assert report.verdict is True
+    witnesses = report.evidence["witnesses"]
+    assert set(witnesses) == {f"{e.u}-{e.v}" for e in ring.edges()}
+    for e in ring.edges():
+        by_length = witnesses[f"{e.u}-{e.v}"]
+        assert sorted(by_length) == list(range(3, ring.order + 1))
+        for length, walk in by_length.items():
+            assert_cycle_witness(ring, e.u, e.v, length, walk)
+
+
 def without_witnesses(evidence):
     return {key: val for key, val in evidence.items() if key != "witnesses"}
 

@@ -10,6 +10,8 @@ import io
 import json
 import os
 import random
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -23,6 +25,7 @@ from test_checks import _CountingProbe, battery_nodes, petersen
 import pancyclic
 from pancyclic import (
     BUDGET_NOTE,
+    MAX_ORDER,
     __version__,
     build_graph,
     canon,
@@ -81,6 +84,26 @@ def test_construct_ring(monkeypatch, capsys):
     assert g.order == 39 and g.size == 75
 
 
+def test_construct_ring_past_the_short_graph6_form(monkeypatch, capsys):
+    # Order 76 takes the graph6 long form, which canon reads back.
+    code, out, _ = run_cli(monkeypatch, capsys, ["construct", "g-ring", "--k", "4"])
+    assert code == 0 and out.startswith("~")
+    g = parse_graph6(out.strip())
+    assert (g.order, g.size) == (76, 148)
+    code, out, _ = run_cli(monkeypatch, capsys, ["canon"], stdin=out)
+    assert code == 0
+    (row,) = envelopes(out)
+    assert parse_graph6(row["result"]["graph6"]) == canonical_graph(g)
+
+
+def test_verify_ring_claims_the_general_formulas(monkeypatch, capsys):
+    code, out, _ = run_cli(monkeypatch, capsys, ["verify", "thm5", "--k", "4"])
+    assert code == 0
+    (row,) = envelopes(out)
+    claims = {c["name"]: (c["expected"], c["actual"]) for c in row["result"]["claims"]}
+    assert claims == {"order": (76, 76), "size": (148, 148), "edge-pancyclic": (True, True)}
+
+
 def test_construct_labels(monkeypatch, capsys):
     code, out, _ = run_cli(
         monkeypatch, capsys, ["construct", "h-block", "--k", "3", "--labels"]
@@ -114,12 +137,21 @@ def test_construct_usage_errors(monkeypatch, capsys):
 def test_construct_names_the_order_it_rejects(monkeypatch, capsys):
     # wheel and fan check the order they were given, not the order of the
     # rim or path they join to the hub.
-    for family, order in (("wheel", 100), ("wheel", 65), ("fan", 100), ("fan", 1)):
+    # An order over the cap is named by build_graph, one under the least
+    # order by the family.
+    for family, order in (
+        ("wheel", 2 * MAX_ORDER), ("wheel", MAX_ORDER + 1), ("fan", 2 * MAX_ORDER), ("fan", 1)
+    ):
         code, out, err = run_cli(monkeypatch, capsys, ["construct", family, "--n", str(order)])
         assert code == 2 and out == ""
-        assert f"{family} needs order" in err and f"got {order}" in err
-    code, out, _ = run_cli(monkeypatch, capsys, ["construct", "fan", "--n", "64", "--format", "dot"])
-    assert code == 0 and out.count("--") == 2 * 64 - 3
+        if order > MAX_ORDER:
+            assert f"order {order} outside" in err
+        else:
+            assert f"{family} needs order" in err and f"got {order}" in err
+    code, out, _ = run_cli(
+        monkeypatch, capsys, ["construct", "fan", "--n", str(MAX_ORDER), "--format", "dot"]
+    )
+    assert code == 0 and out.count("--") == 2 * MAX_ORDER - 3
 
 
 # -- check -------------------------------------------------------------------
@@ -689,3 +721,24 @@ def test_bad_worker_env_is_usage_error():
     )
     assert bad.returncode == 2
     assert "PANCYCLIC_WORKERS" in bad.stderr and "Traceback" not in bad.stderr
+
+
+def test_readme_cli_block_runs_as_documented(monkeypatch, capsys):
+    # Each line of the README's CLI block, run in-process with stdin from
+    # its echo, exits with the code its comment states (0 when it states
+    # none).
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    lines = [line for line in block.splitlines() if line.strip()]
+    assert len(lines) >= 10
+    for line in lines:
+        words = shlex.split(line, comments=True)
+        stdin = ""
+        if words[0] == "echo":
+            bar = words.index("|")
+            stdin = " ".join(words[1:bar]) + "\n"
+            words = words[bar + 1:]
+        assert words[0] == "pancyclic", line
+        stated = re.search(r"# exit (\d)", line)
+        code, _, err = run_cli(monkeypatch, capsys, words[1:], stdin=stdin)
+        assert code == (int(stated.group(1)) if stated else 0), (line, err)

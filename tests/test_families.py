@@ -8,6 +8,7 @@ import pytest
 
 from pancyclic import (
     FAMILY_NAMES,
+    MAX_ORDER,
     FamilySpec,
     GraphError,
     a_graph,
@@ -78,8 +79,8 @@ def test_join_is_the_two_part_sequential_join():
         edges = list(g.edges()) + [(u + g.order, v + g.order) for u, v in h.edges()]
         edges += [(u, g.order + v) for u in range(g.order) for v in range(h.order)]
         assert join(g, h) == sequential_join([g, h]) == build_graph(n, edges)
-    with pytest.raises(GraphError, match="sequential join would have order 70 > 64"):
-        join(complete(40), empty(30))
+    with pytest.raises(GraphError, match=f"order {MAX_ORDER + 1} outside"):
+        join(complete(40), empty(MAX_ORDER - 39))
 
 
 def test_constructions_match_their_frozen_text():
@@ -115,7 +116,7 @@ def test_part_from_token():
     assert are_isomorphic(part_from_token("C5"), cycle(5))
     assert are_isomorphic(part_from_token("P4"), path(4))
     assert are_isomorphic(part_from_token("E2"), empty(2))
-    for bad in ("X3", "K", "C2", "", "K100"):
+    for bad in ("X3", "K", "C2", "", f"K{MAX_ORDER + 1}"):
         with pytest.raises(GraphError):
             part_from_token(bad)
 
@@ -173,13 +174,15 @@ def test_h_block_shape():
 
 
 def test_ring_construction():
-    lab = g_ring(3)
-    g = lab.graph
-    assert (g.order, g.size) == (39, 75)
-    assert has_triangle_cover(g).verdict is True
-    for k in (2, 4):
-        with pytest.raises(GraphError):
-            g_ring(k)
+    for k in (3, 4):
+        g = g_ring(k).graph
+        assert (g.order, g.size) == (6 * k * k - 5 * k, 2 * (6 * k * k - 5 * k) - k)
+        assert has_triangle_cover(g).verdict is True
+    with pytest.raises(GraphError):
+        g_ring(2)
+    # k = 7 has order 259, over the cap; the error names the ring's order.
+    with pytest.raises(GraphError, match="order 259 outside"):
+        g_ring(7)
 
 
 def test_diameter_family_order_and_diameter():
@@ -187,10 +190,11 @@ def test_diameter_family_order_and_diameter():
         g = q_graph(n)
         assert g.order == n
         assert diameter(g) == 2 * n // 5
+    assert diameter(q_graph(MAX_ORDER)) == 2 * MAX_ORDER // 5
     with pytest.raises(GraphError):
         q_graph(9)
     with pytest.raises(GraphError):
-        q_graph(65)
+        q_graph(MAX_ORDER + 1)
 
 
 def test_family_spec_dispatch():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 import networkx as nx
 import pytest
@@ -10,17 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pancyclic import (
+    MAX_ORDER,
     Edge,
     Graph,
     Graph6Error,
     GraphError,
     GraphFilter,
     build_graph,
+    canonical_code,
+    cycle,
     diameter,
     distance_layers,
     eccentricity,
     emit_dot,
+    edge_cycle_lengths,
     emit_graph6,
+    empty,
     enumerate_graphs,
     is_connected,
     is_k_connected,
@@ -61,7 +67,7 @@ def test_build_graph_rejects_bad_input():
     with pytest.raises(GraphError):
         build_graph(-1, [])
     with pytest.raises(GraphError):
-        build_graph(65, [])
+        build_graph(MAX_ORDER + 1, [])
     with pytest.raises(GraphError):
         build_graph(3, [(0, 3)])
     with pytest.raises(GraphError):
@@ -153,10 +159,10 @@ def test_graph6_roundtrip_random():
 
 def test_graph_from_bits_inverts_graph6_from_bits():
     # The bits-to-graph read-out against both encoders, on random graphs of
-    # every graph6 order and on the empty and complete extremes.
+    # every short-form order and some long-form ones, and on the empty and
+    # complete extremes.
     rng = random.Random(5)
-    for _ in range(400):
-        n = rng.randint(0, 62)
+    for n in chain((rng.randint(0, 62) for _ in range(400)), (63, 64, 100, MAX_ORDER)):
         nbits = n * (n - 1) // 2
         bits = rng.getrandbits(nbits)
         for b in (bits, 0, (1 << nbits) - 1):
@@ -171,22 +177,59 @@ def test_graph_from_bits_inverts_graph6_from_bits():
                 triangle = (triangle << 1) | h.has_edge(u, v)
         assert graph_from_bits(n, triangle) == h
         assert graph6_from_bits(n, triangle) == emit_graph6(h)
-    for n, bits in ((3, 8), (3, -1), (65, 0), (-1, 0)):
+    for n, bits in ((3, 8), (3, -1), (MAX_ORDER + 1, 0), (-1, 0)):
         with pytest.raises(GraphError):
             graph_from_bits(n, bits)
 
 
-def test_graph6_order_63_64_rejected():
-    with pytest.raises(GraphError):
-        emit_graph6(build_graph(63, []))
-    with pytest.raises(GraphError):
-        emit_graph6(build_graph(64, []))
+def test_graph6_long_form_round_trips():
+    # Orders 63 up take the long form: byte 126, then the order in three
+    # 6-bit groups.
+    for n in (63, 64, MAX_ORDER):
+        for g in (build_graph(n, []), wheel(n)):
+            text = emit_graph6(g)
+            assert text[:4] == "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+            assert parse_graph6(text) == g
+    with pytest.raises(GraphError, match=f"order {MAX_ORDER + 1} "):
+        graph6_from_bits(MAX_ORDER + 1, 0)
+
+
+def test_graph6_long_form_rejections():
+    # Each names byte 126, the start of the order field, with or without
+    # the optional header: a long form of a short-form order, an order over
+    # the cap, the 8-byte form, a truncated order field.
+    body = "?" * ((63 * 62 // 2 + 5) // 6)
+    cases = (
+        "~??}" + "?" * ((62 * 61 // 2 + 5) // 6),
+        "~" + "".join(chr(((MAX_ORDER + 1) >> s & 63) + 63) for s in (12, 6, 0)),
+        "~~?????~" + body,
+        "~",
+        "~?",
+    )
+    for text in cases:
+        for header in ("", ">>graph6<<"):
+            with pytest.raises(Graph6Error) as e:
+                parse_graph6(header + text)
+            assert e.value.offset == len(header), text
+    # Past the long header, offsets count its four bytes.
+    with pytest.raises(Graph6Error) as e:
+        parse_graph6("~??~" + body + "?")
+    assert e.value.offset == 4 + len(body)
+    with pytest.raises(Graph6Error) as e:
+        parse_graph6("~??~" + body[:-1] + "@")  # order 63: 1953 bits, 3 padding
+    assert e.value.offset == 3 + len(body)
+
+
+def test_max_order_fits_the_recursion_depth():
+    # The cap's reason: the path DFS recurses once per path vertex and the
+    # canonizer once per individualized vertex, at the default limit.
+    assert edge_cycle_lengths(cycle(MAX_ORDER), (0, 1)) == {MAX_ORDER}
+    assert canonical_code(empty(MAX_ORDER)).graph6() == emit_graph6(empty(MAX_ORDER))
 
 
 def test_graph6_against_networkx():
     rng = random.Random(7)
-    for _ in range(300):
-        n = rng.randint(1, 15)
+    for n in chain((rng.randint(1, 15) for _ in range(300)), (62, 63, 64, 100, MAX_ORDER)):
         g = random_graph(rng, n, rng.random())
         h = nx.Graph()
         h.add_nodes_from(range(n))
